@@ -2,13 +2,31 @@
 
 All matrices are ``numpy.int64`` arrays with entries normalized to
 ``[0, p)``.  A matrix of shape ``(m, n)`` represents a linear map
-``F_p^n -> F_p^m`` acting on column vectors.  Everything here is exact;
-no floating point is involved anywhere in the package.
+``F_p^n -> F_p^m`` acting on column vectors.  Everything here is exact.
+
+Products (:func:`matmul`) may run in floating point, as in Dumas, Giorgi
+and Pernet, "Dense linear algebra over word-size prime fields: the FFLAS
+and FFPACK packages" (ACM TOMS 35(3), 2008): with entries in ``[0, p)``
+each term of an inner product is an integer at most ``(p-1)^2``, so a sum
+of ``s`` terms is exact in a float type as long as ``s * (p-1)^2`` stays
+below its mantissa bound (``2^24`` for float32, ``2^53`` for float64),
+whatever order the BLAS sums in.  Longer inner dimensions are summed in
+blocks reduced mod p one by one.  This needs ``(p-1)^2 < 2^53``, so the
+package supports primes up to :data:`MAX_P` (the largest such prime is
+94,906,249); :func:`matmul` raises ``ValueError`` for a larger p.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+# Every integer of absolute value at most these is exact in float32 / float64.
+F32_EXACT = 2 ** 24 - 1
+F64_EXACT = 2 ** 53 - 1
+# Largest p with (p-1)^2 <= F64_EXACT, the bound for exact products.
+MAX_P = math.isqrt(F64_EXACT) + 1
 
 
 def normalize(a, p: int) -> np.ndarray:
@@ -28,9 +46,42 @@ def eye(n: int) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
+    """``a @ b`` mod p for entries in ``[0, p)``, exact for every p <= MAX_P.
+
+    The arithmetic is picked from p and the shapes: small products stay in
+    int64 (exact since n <= 1024 and (p-1)^2 < 2^53 give n * (p-1)^2 <
+    2^63); the rest run as float32 BLAS when n * (p-1)^2 fits its mantissa
+    and as blocked float64 BLAS otherwise.
+    """
+    m, n = a.shape
+    k = b.shape[1]
+    if n != b.shape[0]:
         raise ValueError("shape mismatch %s x %s" % (a.shape, b.shape))
-    return np.mod(a @ b, p)
+    if p > MAX_P:
+        raise ValueError("p=%d is above %d, the bound for exact products" % (p, MAX_P))
+    # On small products the float route costs more than it saves.
+    if n <= 1024 and m * n * k <= 16384:
+        return np.mod(a @ b, p)
+    q = (int(p) - 1) ** 2
+    if n * q <= F32_EXACT:
+        return _float_product(a, b, p, np.float32, n)
+    return _float_product(a, b, p, np.float64, F64_EXACT // q)
+
+
+def _float_product(a: np.ndarray, b: np.ndarray, p: int, dtype, step: int) -> np.ndarray:
+    """``a @ b`` mod p in ``dtype``, summing the inner dimension in blocks of
+    ``step``; exact when ``step * (p-1)^2`` is an exact integer of ``dtype``."""
+    af, bf = a.astype(dtype), b.astype(dtype)
+    n = a.shape[1]
+    if n <= step:
+        c = af @ bf
+    else:
+        c = np.zeros((a.shape[0], b.shape[1]), dtype)
+        for lo in range(0, n, step):
+            block = af[:, lo:lo + step] @ bf[lo:lo + step]
+            c += np.fmod(block, p, out=block)
+            np.fmod(c, p, out=c)  # keeps c below 2p
+    return np.fmod(c, p, out=c).astype(np.int64)
 
 
 def rref(a: np.ndarray, p: int):

@@ -46,6 +46,9 @@ class NonCommutingSquare(ChainError):
 
 
 def _check_prime(p: int) -> int:
+    if p > _modp.MAX_P:
+        raise PrimeMismatch("p=%r is above %d, the bound for exact products"
+                            % (p, _modp.MAX_P))
     if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
         raise PrimeMismatch("%r is not a prime" % (p,))
     return p

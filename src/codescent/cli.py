@@ -24,8 +24,8 @@ An *instance file* bundles everything one verdict needs::
 Complexes list their dimensions from ``lo`` upward and store each
 differential (degree t -> t-1) as a row-major flat integer list under the
 key ``str(t)``; morphism matrices use the same convention (rows indexed
-by the target).  Entries are reduced mod p on load.  ``composition``
-holds triples ``[g, f, h]`` meaning g after f equals h; identity-law
+by the target).  Entries are integers of any size, reduced mod p on load.
+``composition`` holds triples ``[g, f, h]`` meaning g after f equals h; identity-law
 composites may be omitted.  Optional keys: ``focus``, ``strategy``,
 ``cutoff``, ``reductions`` (provenance chain of surgery tags).
 
@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chaincx import ChainComplex, ChainError, make_complex, make_map
+from .chaincx import ChainComplex, ChainError, _check_prime, make_complex, make_map
 from .fincat import (
     CatPair, CategoryError, FinCat, FunctorData, make_category, make_functor,
 )
@@ -175,13 +175,9 @@ def _parse_complex(payload, p, fname, path) -> ChainComplex:
             t = int(key)
         except ValueError:
             raise DataError(fname, dp, "degree keys must be integers")
-        flat = _as_list(flat, fname, dp)
-        rows, cols = dims.get(t - 1, 0), dims.get(t, 0)
-        if rows * cols != len(flat):
-            raise DataError(fname, dp, "expected %d entries (%dx%d), got %d"
-                            % (rows * cols, rows, cols, len(flat)))
-        if rows and cols:
-            diff[t] = np.mod(np.array(flat, dtype=np.int64).reshape(rows, cols), p)
+        mat = _parse_matrix(flat, dims.get(t - 1, 0), dims.get(t, 0), p, fname, dp)
+        if mat.size:
+            diff[t] = mat
     try:
         return make_complex(p, dims, diff)
     except ChainError as exc:
@@ -189,16 +185,28 @@ def _parse_complex(payload, p, fname, path) -> ChainComplex:
 
 
 def _parse_matrix(flat, rows, cols, p, fname, path):
+    """Row-major integer entries, of any size, reduced mod p."""
     flat = _as_list(flat, fname, path)
     if rows * cols != len(flat):
         raise DataError(fname, path, "expected %d entries (%dx%d), got %d"
                         % (rows * cols, rows, cols, len(flat)))
-    return np.mod(np.array(flat, dtype=np.int64).reshape(rows, cols), p)
+    if not set(map(type, flat)) <= {int}:  # bool is not int here
+        i = next(i for i, v in enumerate(flat) if type(v) is not int)
+        raise DataError(fname, "%s[%d]" % (path, i), "expected an integer entry")
+    try:
+        arr = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        arr = np.array(flat, dtype=object) % p
+    return np.mod(arr, p).astype(np.int64, copy=False).reshape(rows, cols)
 
 
 def parse_instance(fname: str) -> Instance:
     root = _as_dict(_load_json(fname), fname, "$")
     p = _as_int(_need(root, "prime", fname, "$"), fname, "$.prime")
+    try:
+        _check_prime(p)
+    except ChainError as exc:
+        raise DataError(fname, "$.prime", str(exc))
     cat = _parse_category(_need(root, "category", fname, "$"), fname, "$.category")
     dset = [_as_str(d, fname, "$.dset") for d in
             _as_list(_need(root, "dset", fname, "$"), fname, "$.dset")]

@@ -222,8 +222,8 @@ def square_diagram(rng, p: int, free: bool = False, plant: str | None = None):
         for n in t2.degrees():
             if xc.dim(n) == 0:
                 continue
-            m = np.mod(g.component(n) @ projs2[0].component(n)
-                       + rho.component(n) @ projs2[1].component(n), p)
+            m = np.mod(_modp.matmul(g.component(n), projs2[0].component(n), p)
+                       + _modp.matmul(rho.component(n), projs2[1].component(n), p), p)
             if m.any():
                 comps[n] = m
         b2 = make_map(t2, xc, comps)
@@ -235,7 +235,7 @@ def square_diagram(rng, p: int, free: bool = False, plant: str | None = None):
         for n in t2.degrees():
             if xc.dim(n) == 0:
                 continue
-            m = np.mod(a1.component(n) @ projs2[0].component(n), p)
+            m = _modp.matmul(a1.component(n), projs2[0].component(n), p)
             if m.any():
                 comps[n] = m
         b2 = make_map(t2, xc, comps)

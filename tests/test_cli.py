@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,52 @@ def test_prime_flag_mismatch(capsys):
                        "--prime", "3")
     assert code == 65
     assert "p=2" in err
+
+
+def _arrow_with(tmp_path, prime=2, entry=1, diff=None):
+    """arrow_identity with its prime and its one map entry replaced, and
+    optionally c given a second degree with differential ``diff``."""
+    payload = json.loads((INSTANCES / "arrow_identity.json").read_text())
+    payload["prime"] = prime
+    payload["diagram"]["on"]["alpha"]["0"] = [entry]
+    if diff is not None:
+        payload["diagram"]["at"]["c"] = {"lo": 0, "dims": [1, 1],
+                                         "diff": {"1": diff}}
+    path = tmp_path / "arrow.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("prime", [4, 2 ** 31 - 1, 1000000000000000003],
+                         ids=["composite", "above-bound", "18-digit"])
+def test_bad_prime_exits_65_at_prime(capsys, tmp_path, prime):
+    path = _arrow_with(tmp_path, prime=prime)
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "validate", path)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 65
+    assert "at $.prime:" in err
+
+
+@pytest.mark.parametrize("entry", [1.5, True, "1", "x", None, [1]],
+                         ids=["float", "bool", "numeric-string", "string",
+                              "null", "list"])
+def test_non_integer_entry_exits_65_with_its_path(capsys, tmp_path, entry):
+    code, _, err = run(capsys, "validate", _arrow_with(tmp_path, entry=entry))
+    assert code == 65
+    assert "at $.diagram.on.alpha.0[0]:" in err
+    code, _, err = run(capsys, "validate",
+                       _arrow_with(tmp_path, diff=[entry]))
+    assert code == 65
+    assert "at $.diagram.at.c.diff.1[0]:" in err
+
+
+@pytest.mark.parametrize("entry", [2 ** 70 + 1, -(2 ** 70), 2 ** 63])
+def test_integer_entries_of_any_size_reduce_mod_p(tmp_path, entry):
+    inst = parse_instance(str(_arrow_with(tmp_path, prime=3, entry=entry,
+                                          diff=[entry])))
+    assert inst.diagram.on["alpha"].component(0).tolist() == [[entry % 3]]
+    assert inst.diagram.at["c"].d(1).tolist() == [[entry % 3]]
 
 
 def test_usage_errors_exit_64(capsys):

@@ -119,3 +119,61 @@ def test_kron_acts_blockwise():
     a = np.array([[1, 2]], dtype=np.int64)
     b = np.array([[1], [1]], dtype=np.int64)
     assert _modp.kron(a, b, 3).tolist() == [[1, 2], [1, 2]]
+
+
+# Primes on both sides of the float32 line (4093 is the largest p with
+# (p-1)^2 < 2^24) and the largest prime the package supports.
+BOUNDARY_PRIMES = (2, 3, 5, 7, 4093, 4099, 65537, 94906249)
+# (m, n, k) on both sides of the route boundaries: m*n*k = 2^14 with
+# n <= 1024 is the largest int64 product, n = 1025 the narrowest float one,
+# and n = 1, 2 with m*k > 2^14 straddle float32/float64 at p = 4093.
+EDGE_SHAPES = ((16, 64, 16), (16, 64, 17), (4, 1024, 4), (4, 1024, 5),
+               (1, 1025, 1), (129, 1, 129), (129, 2, 129), (3, 0, 7),
+               (200, 0, 200))
+
+
+@st.composite
+def products(draw):
+    p = draw(st.sampled_from(BOUNDARY_PRIMES))
+    m, n, k = draw(st.sampled_from(EDGE_SHAPES)
+                   | st.tuples(*[st.integers(0, 6)] * 3))
+    if draw(st.booleans()):
+        a, b = np.full((m, n), p - 1), np.full((n, k), p - 1)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        a, b = rng.integers(0, p, size=(m, n)), rng.integers(0, p, size=(n, k))
+    return a.astype(np.int64), b.astype(np.int64), p
+
+
+def _python_int_product(a, b, p):
+    return (a.astype(object).dot(b.astype(object)) % p).tolist()
+
+
+@given(products())
+@settings(max_examples=200, deadline=None)
+def test_matmul_equals_python_int_product(abp):
+    a, b, p = abp
+    got = _modp.matmul(a, b, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == _python_int_product(a, b, p)
+
+
+@given(products(), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_float_routes_are_exact_with_any_block(abp, step):
+    a, b, p = abp
+    want = _python_int_product(a, b, p)
+    q = (p - 1) ** 2
+    f64 = _modp._float_product(a, b, p, np.float64, min(step, _modp.F64_EXACT // q))
+    assert f64.dtype == np.int64 and f64.tolist() == want
+    if q <= _modp.F32_EXACT:
+        f32 = _modp._float_product(a, b, p, np.float32, min(step, _modp.F32_EXACT // q))
+        assert f32.dtype == np.int64 and f32.tolist() == want
+
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, _modp.MAX_P + 1])
+def test_matmul_rejects_primes_above_the_bound(p):
+    # int64 accumulation used to wrap here and return 0 instead of 4
+    a = np.full((1, 4), p - 1, dtype=np.int64)
+    with pytest.raises(ValueError, match="bound"):
+        _modp.matmul(a, a.T.copy(), p)
