@@ -196,7 +196,7 @@ def _parse_matrix(flat, rows, cols, p, fname, path):
     try:
         arr = np.array(flat, dtype=np.int64)
     except OverflowError:
-        arr = np.array(flat, dtype=object) % p
+        arr = np.array(flat, dtype=object)
     return np.mod(arr, p).astype(np.int64, copy=False).reshape(rows, cols)
 
 
