@@ -20,7 +20,7 @@ Layers, bottom up:
 from .chaincx import (
     ChainComplex, ChainMap, ChainError, NotAComplex, ShapeMismatch,
     PrimeMismatch, NonCommutingSquare,
-    make_complex, validate_complex, zero_complex, sphere, disk,
+    make_complex, zero_complex, sphere, disk,
     make_map, validate_map, identity_map, zero_map, compose, add_maps,
     is_degreewise_epi, is_degreewise_mono,
     homology_dims, is_acyclic, induced_homology_map, mapping_cone,
@@ -39,7 +39,7 @@ from .fincat import (
 )
 from .diagrams import (
     Diagram, NatTrans, NotNatural, InvalidWitness,
-    make_diagram, validate_diagram, make_nat, identity_nat, compose_nat,
+    make_diagram, make_nat, identity_nat, compose_nat,
     test_D_class, restrict_along, restrict_nat_along, restrict_to_subset,
     left_kan, right_kan, left_kan_counit, right_kan_unit, kan,
     adjoint_transpose, glossy_formula_check, apply_value_functor,

@@ -1,8 +1,8 @@
 """Exact linear algebra over the prime field F_p on numpy integer arrays.
 
-All matrices are ``numpy.int64`` arrays with entries normalized to
-``[0, p)``.  A matrix of shape ``(m, n)`` represents a linear map
-``F_p^n -> F_p^m`` acting on column vectors.  Everything here is exact.
+All matrices are ``numpy.int64`` arrays with entries in ``[0, p)``
+(:func:`normalize` takes integer entries only).  A ``(m, n)`` matrix is a
+linear map ``F_p^n -> F_p^m`` on column vectors.  Everything is exact.
 
 Products (:func:`matmul`) may run in floating point, as in Dumas, Giorgi
 and Pernet, "Dense linear algebra over word-size prime fields: the FFLAS
@@ -30,11 +30,14 @@ MAX_P = math.isqrt(F64_EXACT) + 1
 
 
 def normalize(a, p: int) -> np.ndarray:
-    """Coerce to an int64 array with entries reduced mod p."""
-    arr = np.asarray(a, dtype=np.int64)
+    """An int64 matrix with entries reduced mod p; entries that are not
+    integers (floats, booleans, strings, objects) raise ``TypeError``."""
+    arr = np.asarray(a)
     if arr.ndim != 2:
         raise ValueError("expected a 2-d matrix, got ndim=%d" % arr.ndim)
-    return np.mod(arr, p)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise TypeError("expected integer entries, got dtype %s" % arr.dtype)
+    return np.mod(arr, int(p)).astype(np.int64, copy=False)
 
 
 def zeros(m: int, n: int) -> np.ndarray:

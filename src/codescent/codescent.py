@@ -41,8 +41,8 @@ import numpy as np
 from . import _modp
 from .chaincx import (
     ChainComplex, ChainMap, compose, direct_sum, first_homology_failure,
-    homology_dims, identity_map, is_quasi_iso, make_complex, make_map,
-    validate_map, zero_complex, zero_map, ShapeMismatch,
+    identity_map, is_quasi_iso, make_complex, make_map, zero_complex,
+    zero_map, ShapeMismatch,
 )
 from .fincat import (
     BadShapeParams, CatPair, FinCat, UnknownObject, full_subcategory,
@@ -473,16 +473,8 @@ def approximate(x: Diagram, pair: CatPair, strategy: str = "bar",
 # ---------------------------------------------------------------------------
 
 def _verdict_for_map(f: ChainMap, exact_through) -> CodescentVerdict:
-    if exact_through is math.inf:
-        return _verdict_from_failure(first_homology_failure(f), exact_through)
-    degs = set(f.source.dims) | set(f.target.dims)
-    if degs:
-        t_min = min(degs)
-        hi = int(exact_through)
-        scan = range(t_min, hi + 1) if hi >= t_min else range(0, 0)
-    else:
-        scan = range(0, 0)
-    return _verdict_from_failure(first_homology_failure(f, scan), exact_through)
+    through = None if exact_through is math.inf else int(exact_through)
+    return _verdict_from_failure(first_homology_failure(f, through), exact_through)
 
 
 def codescent_at(x: Diagram, pair: CatPair, c: str, strategy: str = "bar",

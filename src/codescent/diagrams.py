@@ -122,10 +122,6 @@ def make_diagram(cat: FinCat, at: dict, on: dict) -> Diagram:
     return Diagram(cat, at, full_on)
 
 
-def validate_diagram(x: Diagram) -> Diagram:
-    return make_diagram(x.cat, x.at, x.on)
-
-
 class NatTrans:
     __slots__ = ("source", "target", "comps")
 

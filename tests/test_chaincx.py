@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codescent import (
     ChainComplex,
@@ -18,6 +21,7 @@ from codescent import (
     first_homology_failure,
     homology_dims,
     identity_map,
+    induced_homology_map,
     is_acyclic,
     is_degreewise_epi,
     is_degreewise_mono,
@@ -34,6 +38,7 @@ from codescent import (
     zero_complex,
     zero_map,
 )
+from codescent import _modp
 
 import oracles
 
@@ -52,6 +57,13 @@ def test_make_complex_drops_zero_degrees():
 def test_make_complex_rejects_composite_prime():
     with pytest.raises(PrimeMismatch):
         make_complex(6, {0: 1})
+
+
+def test_prime_check_runs_once_per_prime():
+    start = time.perf_counter()
+    for _ in range(2000):
+        make_complex(94906249, {0: 1})
+    assert time.perf_counter() - start < 0.5
 
 
 def test_make_complex_rejects_wrong_shape():
@@ -82,6 +94,12 @@ def test_make_map_rejects_non_chain_data():
     # d o f = id but f o d = 0, so degree 1 cannot commute
     with pytest.raises(NonCommutingSquare):
         make_map(src, tgt, {1: np.array([[1]])})
+
+
+def test_make_map_rejects_float_component():
+    s = sphere(5, 0)
+    with pytest.raises(TypeError, match="float"):
+        make_map(s, s, {0: np.array([[1.5]])})
 
 
 def test_compose_and_add_small():
@@ -125,11 +143,26 @@ def test_cone_route_and_induced_map_route_agree(rng):
         else:
             b, _ = random_complex(rng, 0, 3, 5, p)
             f = random_chain_map(rng, a, b)
-        via_cone = is_quasi_iso(f)
-        via_ranks = first_homology_failure(f) is None
-        assert via_cone == via_ranks
+        via_cone = is_acyclic(mapping_cone(f))
+        via_induced = _basis_route_failure(f, None) is None
+        assert via_cone == via_induced == is_quasi_iso(f)
         hits[via_cone] += 1
     assert hits[True] and hits[False]  # both outcomes exercised
+
+
+def _basis_route_failure(f, through):
+    """First failure read off the matrices of H_n(f) in homology bases."""
+    degs = set(f.source.dims) | set(f.target.dims)
+    if not degs:
+        return None
+    top = max(degs) if through is None else through
+    for n in range(min(degs), top + 1):
+        m = induced_homology_map(f, n)
+        r = _modp.rank(m, f.prime)
+        ker, coker = m.shape[1] - r, m.shape[0] - r
+        if ker or coker:
+            return (n, ker + coker)
+    return None
 
 
 def test_first_failure_matches_oracle(rng):
@@ -144,6 +177,50 @@ def test_first_failure_matches_oracle(rng):
                  for n in set(a.dims) | set(b.dims)}
         assert first_homology_failure(f) == oracles.first_defect(
             raw_src, raw_tgt, comps, p)
+
+
+@st.composite
+def maps_and_bounds(draw):
+    """A chain map between random complexes (either may be zero) over a
+    degree window that reaches below zero, and a scan bound around it."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def complex_or_zero():
+        if draw(st.booleans()) and draw(st.booleans()):
+            return zero_complex(p)
+        lo = draw(st.integers(-3, 1))
+        return random_complex(rng, lo, lo + draw(st.integers(0, 3)), 5, p)[0]
+
+    a = complex_or_zero()
+    if draw(st.booleans()):
+        b = complex_or_zero()
+        f = random_chain_map(rng, a, b)
+    else:
+        # inclusion with an acyclic complement: a quasi-iso
+        b, injs, _ = direct_sum([a, disk(p, draw(st.integers(-2, 3)), 2)])
+        f = injs[0]
+    through = draw(st.none() | st.integers(-6, 6))
+    return f, through
+
+
+@given(maps_and_bounds())
+@settings(max_examples=120, deadline=None)
+def test_rank_route_matches_basis_route_and_oracle(case):
+    f, through = case
+    got = first_homology_failure(f, through)
+    assert got == _basis_route_failure(f, through)
+    a, b = f.source, f.target
+    degs = set(a.dims) | set(b.dims)
+    if not degs:
+        assert got is None
+        return
+    top = max(degs) if through is None else through
+    raw_src = (dict(a.dims), {n: a.d(n).tolist() for n in a.degrees()})
+    raw_tgt = (dict(b.dims), {n: b.d(n).tolist() for n in b.degrees()})
+    comps = {n: f.component(n).tolist() for n in degs}
+    assert got == oracles.first_defect(raw_src, raw_tgt, comps, f.prime,
+                                       range(min(degs), top + 1))
 
 
 def test_identity_is_quasi_iso_zero_to_acyclic_is_too():

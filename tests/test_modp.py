@@ -24,6 +24,30 @@ def test_normalize_rejects_non_matrix():
         _modp.normalize([1, 2, 3], 5)
 
 
+@pytest.mark.parametrize("entries", [
+    np.array([[1.5, 2.9]]),
+    np.array([[True, False]]),
+    np.array([["1", "2"]]),
+    np.array([[1, 2]], dtype=object),
+    [[2 ** 70]],
+], ids=["float", "bool", "string", "object", "int-beyond-int64"])
+def test_normalize_rejects_non_integer_entries(entries):
+    with pytest.raises(TypeError, match="dtype"):
+        _modp.normalize(entries, 5)
+
+
+@pytest.mark.parametrize("entries, want", [
+    (np.array([[7, -1]], dtype=np.int8), [[2, 4]]),
+    (np.array([[7, 2 ** 64 - 1]], dtype=np.uint64), [[2, 0]]),
+    ([[7, -1]], [[2, 4]]),
+    (np.zeros((0, 3)), []),
+], ids=["int8", "uint64", "list", "empty-float"])
+def test_normalize_reduces_integer_entries(entries, want):
+    got = _modp.normalize(entries, 5)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
 def test_rref_known_case():
     r, pivots = _modp.rref(np.array([[2, 4], [1, 2]]), 5)
     assert pivots == [0]
