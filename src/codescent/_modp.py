@@ -14,6 +14,13 @@ whatever order the BLAS sums in.  Longer inner dimensions are summed in
 blocks reduced mod p one by one.  This needs ``(p-1)^2 < 2^53``, so the
 package supports primes up to :data:`MAX_P` (the largest such prime is
 94,906,249); :func:`matmul` raises ``ValueError`` for a larger p.
+
+:func:`rank` eliminates by row panels, after the same paper: a panel A1 of
+:data:`PANEL` rows over the rest A2 is reduced by :func:`rref` to E with
+pivot columns ``piv``, and A2 becomes S = A2 - A2[:, piv] E by one
+:func:`matmul`.  Since E[:, piv] = I and S[:, piv] = 0, rank(A) =
+rank(E) + rank(S), and S is reduced the same way.  So the rank is exact
+because the product is.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ F32_EXACT = 2 ** 24 - 1
 F64_EXACT = 2 ** 53 - 1
 # Largest p with (p-1)^2 <= F64_EXACT, the bound for exact products.
 MAX_P = math.isqrt(F64_EXACT) + 1
+# Rows per panel of :func:`rank`: one ``rref`` and one Schur product each.
+PANEL = 64
 
 
 def normalize(a, p: int) -> np.ndarray:
@@ -94,36 +103,106 @@ def rref(a: np.ndarray, p: int):
 
     Returns ``(r, pivots)`` where ``r`` is the reduced matrix and
     ``pivots`` the list of pivot column indices.  Entry dtype stays int64;
-    pivots are normalized to 1.
+    pivots are normalized to 1.  Each pivot clears its column in one
+    vectorised step over the rows with a nonzero there, on the columns from
+    the pivot on (the columns before it are zero in the pivot row).
     """
-    m = np.mod(np.asarray(a, dtype=np.int64), p).copy()
+    m = np.mod(np.asarray(a, dtype=np.int64), p)
     nrows, ncols = m.shape
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
-        if row >= nrows:
+        if row == nrows:
             break
-        nz = np.nonzero(m[row:, col])[0]
-        if nz.size == 0:
+        nz = m[row:, col].nonzero()[0]
+        if not nz.size:
             continue
-        pr = row + int(nz[0])
-        if pr != row:
-            m[[row, pr]] = m[[pr, row]]
-        inv = pow(int(m[row, col]), -1, p)
-        m[row] = np.mod(m[row] * inv, p)
-        hits = np.nonzero(m[:, col])[0]
-        for i in hits:
-            if i != row:
-                m[i] = np.mod(m[i] - m[i, col] * m[row], p)
+        if nz[0]:
+            m[[row, row + nz[0]]] = m[[row + nz[0], row]]
+        pivot = m[row, col:]
+        if pivot[0] != 1:
+            pivot *= pow(int(pivot[0]), -1, p)
+            pivot %= p
+        m[row, col] = 0  # leaves the pivot row out of the hits
+        hits = m[:, col].nonzero()[0]
+        m[row, col] = 1
+        if hits.size:
+            block = m[hits, col:]
+            block -= block[:, :1] * pivot
+            m[hits, col:] = np.mod(block, p, out=block)
         pivots.append(col)
         row += 1
     return m, pivots
 
 
 def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
+    """Rank of ``a`` over F_p, by row panels of :data:`PANEL` rows.
+
+    Write ``a`` as a panel A1 over the rows A2 below it.  ``rref`` reduces
+    A1 to E with pivot columns ``piv``, and one :func:`matmul` turns A2
+    into the Schur complement S = A2 - A2[:, piv] E.  The rows of E and S
+    span the row space of ``a``, and E[:, piv] = I while S[:, piv] = 0, so
+    the two row spaces meet only in 0 and rank(a) = rank(E) + rank(S); S is
+    reduced the same way.  The result is exact because ``matmul`` is.  A
+    matrix without a nonzero entry has rank 0 without any elimination.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if not a.any():
         return 0
-    return len(rref(a, p)[1])
+    return _panel_rank(a, p, PANEL)
+
+
+def _panel_rank(a: np.ndarray, p: int, height: int) -> int:
+    """The panel loop of :func:`rank`, with panels of ``height`` rows.
+
+    Each panel is reduced on its nonzero columns only, and the Schur
+    update touches only the rows below with a nonzero in a pivot column.
+    ``a`` itself is never written.
+    """
+    total = 0
+    work = a
+    while work.shape[0]:
+        panel, work = work[:height], work[height:]
+        live = panel.any(axis=0).nonzero()[0]
+        if live.size < panel.shape[1]:
+            panel = panel[:, live]
+        e, piv = rref(panel, p)
+        total += len(piv)
+        if piv and work.shape[0]:
+            work = _schur_update(a, work, e[:len(piv)], live, live[piv], p)
+    return total
+
+
+def _schur_update(a, work, e, live, cols, p):
+    """``work - work[:, cols] @ e`` mod p, where ``e`` holds the reduced
+    panel's nonzero rows on the columns ``live`` and ``cols`` its pivot
+    columns.  Rows without a nonzero in ``cols`` are not touched."""
+    x = np.mod(work[:, cols], p)
+    hit = x.any(axis=1).nonzero()[0]
+    if not hit.size:
+        return work
+    e_full = zeros(len(cols), work.shape[1])
+    e_full[:, live] = e
+    if hit.size == work.shape[0]:
+        # Every row changes: the product's buffer becomes the new work,
+        # without the pivot columns (zero from here on).  The subtraction
+        # runs over slices of ``work``, one per run of kept columns, so no
+        # copy of ``work`` is made.
+        keep = np.ones(work.shape[1], dtype=bool)
+        keep[cols] = False
+        s = matmul(x, e_full[:, keep], p)
+        edges = np.diff(keep, prepend=False, append=False).nonzero()[0]
+        at = 0
+        for lo, hi in zip(edges[::2], edges[1::2]):
+            seg = s[:, at:at + hi - lo]
+            np.subtract(work[:, lo:hi], seg, out=seg)
+            at += hi - lo
+        return np.mod(s, p, out=s)
+    if np.may_share_memory(work, a):
+        work = np.mod(work, p)
+    s = matmul(x[hit], e_full, p)
+    work[hit] = np.mod(np.subtract(work[hit], s, out=s), p, out=s)
+    return work
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +74,90 @@ def test_rref_is_idempotent_with_unit_pivots(mp):
 def test_rank_matches_independent_row_reduction(mp):
     a, p = mp
     assert _modp.rank(a, p) == oracles.rank_of(a.tolist(), p)
+
+
+def test_rank_of_a_zero_matrix_needs_no_elimination(monkeypatch):
+    def no_rref(a, p):
+        raise AssertionError("rref called on a zero matrix")
+    monkeypatch.setattr(_modp, "rref", no_rref)
+    assert _modp.rank(_modp.zeros(300, 300), 3) == 0
+    assert _modp.rank(_modp.zeros(0, 5), 3) == 0
+
+
+# Primes for every route of the Schur product in rank: int64 on small
+# products, float32 up to p = 4093, float64 above it, and float64 in blocks
+# of one term at the largest supported prime.
+PANEL_PRIMES = (2, 3, 5, 7, 4099, 94906249)
+# Shapes beyond 12 x 12: 70 x 60 at height 5 and 130 x 40 at the full panel
+# height make the Schur product large enough for the float routes; 40 x 130
+# is one wide panel and 66 x 3 leaves a last panel of two rows.
+PANEL_SHAPES = ((70, 60), (130, 40), (40, 130), (66, 3))
+
+
+@st.composite
+def panel_matrices(draw):
+    """Matrices that span several panels of rank's loop at heights 1-5:
+    dense, sparse, low rank, or with whole rows or columns zero."""
+    p = draw(st.sampled_from(PANEL_PRIMES))
+    m, n = draw(st.sampled_from(PANEL_SHAPES)
+                | st.tuples(st.integers(0, 12), st.integers(0, 12)))
+    kind = draw(st.sampled_from(("dense", "sparse", "low-rank", "zero-rows", "zero-cols")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.integers(0, p, size=(m, n))
+    if kind == "sparse":
+        a *= rng.random((m, n)) < 0.05
+    elif kind == "low-rank":
+        k = int(rng.integers(1, 4))
+        left = rng.integers(0, p, size=(m, k)).astype(object)
+        a = left.dot(rng.integers(0, p, size=(k, n)).astype(object)) % p
+    elif kind == "zero-rows":
+        a[rng.random(m) < 0.5] = 0
+    elif kind == "zero-cols":
+        a[:, rng.random(n) < 0.5] = 0
+    return a.astype(np.int64), p
+
+
+@given(panel_matrices(), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_panel_rank_matches_oracle_at_every_height(mp, height):
+    a, p = mp
+    want = oracles.rank_of(a.tolist(), p)
+    assert _modp.rank(a, p) == want
+    assert _modp._panel_rank(a, p, height) == want
+
+
+@given(panel_matrices())
+@settings(max_examples=100, deadline=None)
+def test_rref_matches_oracle(mp):
+    a, p = mp
+    want, want_pivots = oracles.row_reduce(a.tolist(), p)
+    r, pivots = _modp.rref(a, p)
+    assert pivots == want_pivots
+    assert r.tolist() == want
+
+
+@pytest.mark.parametrize("p", PANEL_PRIMES)
+def test_rank_across_four_panels(p):
+    rng = np.random.default_rng(p)
+    a = rng.integers(0, p, size=(200, 150)) * (rng.random((200, 150)) < 0.3)
+    a[64:128] = rng.integers(0, 3, size=(64, 64)) @ a[:64] % p  # in the span of rows 0-63
+    want = oracles.rank_of(a.tolist(), p)
+    assert 64 < want < 150
+    assert _modp.rank(a.astype(np.int64), p) == want
+
+
+@pytest.mark.parametrize("m, n, density", [(369, 306, 0.3), (390, 780, 0.003)],
+                         ids=["dense", "sparse"])
+def test_rank_allocates_at_most_two_and_a_half_inputs(m, n, density):
+    rng = np.random.default_rng(m * n)
+    a = (rng.integers(1, 3, size=(m, n)) * (rng.random((m, n)) < density)).astype(np.int64)
+    tracemalloc.start()
+    try:
+        _modp.rank(a, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * a.nbytes
 
 
 @given(matrices())
