@@ -21,7 +21,7 @@ from .chaincx import (
     ChainComplex, ChainMap, ChainError, NotAComplex, ShapeMismatch,
     PrimeMismatch, NonCommutingSquare,
     make_complex, zero_complex, sphere, disk,
-    make_map, validate_map, identity_map, zero_map, compose, add_maps,
+    make_map, identity_map, zero_map, compose, add_maps,
     is_degreewise_epi, is_degreewise_mono,
     homology_dims, is_acyclic, induced_homology_map, mapping_cone,
     is_quasi_iso, first_homology_failure, direct_sum, direct_sum_maps,
@@ -49,8 +49,7 @@ from .codescent import (
     CodescentVerdict, CodescentReport, Approximation, DNotFull,
     is_directed_pair, default_cutoff, bar_approximation,
     ind_base_approximation, approximate, codescent_at, codescent_locus,
-    homotopy_pushout, HomotopyPushout, oracle_criterion,
-    verify_cofibrant_approx,
+    oracle_criterion, verify_cofibrant_approx,
 )
 from .surgery import (
     Reduction, FocusInD, NotACover, reduce_prune_objects,

@@ -69,8 +69,12 @@ def _check_prime(p: int) -> int:
 class ChainComplex:
     """A bounded complex: ``dims[n]`` and matrices ``diff[n] : C_n -> C_{n-1}``.
 
-    Instances are immutable by convention once built through
-    :func:`make_complex` (which validates d o d = 0).
+    Instances are immutable by convention.  Data from outside the package
+    goes through :func:`make_complex`, which validates d o d = 0 and
+    normalizes; the plain constructor is for the package's own
+    constructions, which must pass that normal form directly: no
+    zero-dimensional degrees, no all-zero differentials, entries reduced
+    mod p.  The test suite re-validates those constructions.
     """
 
     __slots__ = ("prime", "dims", "diff")
@@ -171,6 +175,13 @@ def disk(prime: int, degree: int, copies: int = 1) -> ChainComplex:
 # ---------------------------------------------------------------------------
 
 class ChainMap:
+    """Components ``comps[n] : source_n -> target_n`` of a chain map.
+
+    Data from outside the package goes through :func:`make_map`, which
+    checks shapes and the chain condition; the plain constructor is for
+    the package's own constructions, which the test suite re-validates.
+    """
+
     __slots__ = ("source", "target", "comps")
 
     def __init__(self, source: ChainComplex, target: ChainComplex, comps: dict[int, np.ndarray]):
@@ -222,10 +233,6 @@ def make_map(source: ChainComplex, target: ChainComplex, comps: dict[int, np.nda
         if not np.array_equal(lhs, rhs):
             raise NonCommutingSquare(n, "not a chain map at degree %d" % n)
     return f
-
-
-def validate_map(f: ChainMap) -> ChainMap:
-    return make_map(f.source, f.target, f.comps)
 
 
 def identity_map(cx: ChainComplex) -> ChainMap:
@@ -532,11 +539,6 @@ def tensor_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     return ChainMap(src, tgt, comps)
 
 
-def tensor_with(cx: ChainComplex, pcx: ChainComplex) -> ChainComplex:
-    """Right tensor - (x) pcx, the value functor used for invariance tests."""
-    return tensor(cx, pcx)
-
-
 # ---------------------------------------------------------------------------
 # Finite (co)limits of complex-valued functors on a finite shape
 # ---------------------------------------------------------------------------
@@ -622,7 +624,18 @@ def _degree_span(values) -> range:
     return range(min(degs), max(degs) + 1)
 
 
-def finite_colimit(shape, at: dict, on: dict, check: bool = True) -> Colimit:
+def _summed_differential(at: dict, order: list, offs: dict, n: int) -> np.ndarray:
+    """d_n of (+)_a at[a]: block diagonal, blocks placed at ``offs``."""
+    dplus = _modp.zeros(sum(at[a].dim(n - 1) for a in order),
+                        sum(at[a].dim(n) for a in order))
+    for a in order:
+        da = at[a].d(n)
+        ro, co = offs[n - 1][a], offs[n][a]
+        dplus[ro : ro + da.shape[0], co : co + da.shape[1]] = da
+    return dplus
+
+
+def finite_colimit(shape, at: dict, on: dict) -> Colimit:
     order = list(shape.objects)
     if not order:
         raise ShapeMismatch("colimit over the empty shape is the zero complex; "
@@ -664,17 +677,11 @@ def finite_colimit(shape, at: dict, on: dict, check: bool = True) -> Colimit:
     for n in dims:
         if dims.get(n - 1, 0) == 0:
             continue
-        total_n = sum(at[a].dim(n) for a in order)
-        dplus = _modp.zeros(sum(at[a].dim(n - 1) for a in order), total_n)
-        for a in order:
-            da = at[a].d(n)
-            ro = offs[n - 1][a]
-            co = offs[n][a]
-            dplus[ro : ro + da.shape[0], co : co + da.shape[1]] = da
+        dplus = _summed_differential(at, order, offs, n)
         m = _modp.matmul(_modp.matmul(proj[n - 1], dplus, p), sect[n], p)
         if m.any():
             diff[n] = m
-    cx = make_complex(p, dims, diff)
+    cx = ChainComplex(p, dims, diff)
 
     injections = {}
     for a in order:
@@ -685,18 +692,10 @@ def finite_colimit(shape, at: dict, on: dict, check: bool = True) -> Colimit:
             off = offs[n][a]
             comps[n] = proj[n][:, off : off + at[a].dim(n)].copy()
         injections[a] = ChainMap(at[a], cx, comps)
-
-    if check:
-        for a in order:
-            validate_map(injections[a])
-        for m in mors:
-            a, b = shape.source(m), shape.target(m)
-            if compose(injections[b], on[m]) != injections[a]:
-                raise NonCommutingSquare(None, "colimit injections not natural along %r" % m)
     return Colimit(cx, injections, proj, sect, order, at)
 
 
-def finite_limit(shape, at: dict, on: dict, check: bool = True) -> Limit:
+def finite_limit(shape, at: dict, on: dict) -> Limit:
     order = list(shape.objects)
     if not order:
         raise ShapeMismatch("limit over the empty shape is the zero complex; "
@@ -737,20 +736,13 @@ def finite_limit(shape, at: dict, on: dict, check: bool = True) -> Limit:
     for n in dims:
         if dims.get(n - 1, 0) == 0:
             continue
-        total_n = sum(at[a].dim(n) for a in order)
-        dplus = _modp.zeros(sum(at[a].dim(n - 1) for a in order), total_n)
-        for a in order:
-            da = at[a].d(n)
-            ro = offs[n - 1][a]
-            co = offs[n][a]
-            dplus[ro : ro + da.shape[0], co : co + da.shape[1]] = da
-        rhs = _modp.matmul(dplus, incl[n], p)
+        rhs = _modp.matmul(_summed_differential(at, order, offs, n), incl[n], p)
         m = _modp.solve(incl[n - 1], rhs, p)
         if m is None:
             raise NonCommutingSquare(n, "limit differential escapes the limit")
         if m.any():
             diff[n] = m
-    cx = make_complex(p, dims, diff)
+    cx = ChainComplex(p, dims, diff)
 
     projections = {}
     for a in order:
@@ -761,14 +753,6 @@ def finite_limit(shape, at: dict, on: dict, check: bool = True) -> Limit:
             if block.any():
                 comps[n] = block
         projections[a] = ChainMap(cx, at[a], comps)
-
-    if check:
-        for a in order:
-            validate_map(projections[a])
-        for m in mors:
-            a, b = shape.source(m), shape.target(m)
-            if compose(on[m], projections[a]) != projections[b]:
-                raise NonCommutingSquare(None, "limit projections not natural along %r" % m)
     return Limit(cx, projections, incl, order, at)
 
 

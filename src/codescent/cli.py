@@ -140,8 +140,9 @@ def _parse_category(payload, fname, path) -> FinCat:
         ends = _as_dict(ends, fname, mp)
         mor[name] = (_as_str(_need(ends, "src", fname, mp), fname, mp + ".src"),
                      _as_str(_need(ends, "tgt", fname, mp), fname, mp + ".tgt"))
-    identities = _as_dict(_need(payload, "identities", fname, path), fname,
-                          path + ".identities")
+    identities = {a: _as_str(i, fname, path + ".identities.%s" % a) for a, i in
+                  _as_dict(_need(payload, "identities", fname, path), fname,
+                           path + ".identities").items()}
     comp = {}
     for i, triple in enumerate(_as_list(payload.get("composition", []), fname,
                                         path + ".composition")):
@@ -226,7 +227,9 @@ def parse_instance(fname: str) -> Instance:
             raise DataError(fname, "$.diagram.at.%s" % a, "unknown object")
     on_payload = _as_dict(dg.get("on", {}), fname, "$.diagram.on")
     on = {}
-    for m in cat.non_identity_morphisms():
+    for m in cat.mor:
+        if cat.is_identity(m) and m not in on_payload:
+            continue  # make_diagram fills in the identity map
         src, tgt = cat.source(m), cat.target(m)
         comps_payload = _as_dict(on_payload.get(m, {}), fname, "$.diagram.on.%s" % m)
         comps = {}
@@ -375,6 +378,11 @@ _DOT_COLORS = {"holds": "palegreen", "fails": "lightcoral",
                "holds_up_to": "khaki"}
 
 
+def _dot_id(name: str) -> str:
+    """A DOT double-quoted string, with backslash and quote escaped."""
+    return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def export_dot(inst: Instance, report=None) -> str:
     """Deterministic DOT digraph: objects as nodes (doubled border on the
     distinguished subset, verdict-colored when a report is supplied) and
@@ -392,11 +400,11 @@ def export_dot(inst: Instance, report=None) -> str:
             color = _DOT_COLORS[report.verdicts[a].status]
             attrs.append('style=filled')
             attrs.append('fillcolor="%s"' % color)
-        lines.append('  "%s"%s;' % (a, " [%s]" % ", ".join(attrs) if attrs else ""))
+        lines.append('  %s%s;' % (_dot_id(a), " [%s]" % ", ".join(attrs) if attrs else ""))
     edges = sorted((cat.source(m), m, cat.target(m))
                    for m in cat.non_identity_morphisms() if m not in composite)
     for s, m, t in edges:
-        lines.append('  "%s" -> "%s" [label="%s"];' % (s, t, m))
+        lines.append('  %s -> %s [label=%s];' % (_dot_id(s), _dot_id(t), _dot_id(m)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -8,6 +8,14 @@ are all computed through the exact finite (co)limits of
 repeating a construction yields identical matrices (several round-trip
 laws in the test suite rely on this).
 
+Input is checked once, where it enters: :func:`make_diagram` and
+:func:`make_nat` validate data from outside the package (the functor and
+naturality laws; each component is a :class:`ChainMap` that
+:func:`~codescent.chaincx.make_map` validated when it was built).  The
+package's own constructions (Kan extensions, restrictions, resolutions)
+hold by construction and use the plain :class:`Diagram` and
+:class:`NatTrans` constructors; the test suite re-validates them.
+
 Convention worth stating once: the value category has a zero object which
 is both initial and terminal, so colimits over an empty index category
 and limits over an empty index category are both the zero complex.
@@ -24,7 +32,7 @@ from .chaincx import (
     ChainComplex, ChainMap, Colimit, Limit,
     PrimeMismatch, ShapeMismatch, NonCommutingSquare,
     compose, direct_sum, finite_colimit, finite_limit, identity_map,
-    make_map, tensor, tensor_maps, validate_map, zero_complex, zero_map,
+    make_map, tensor, tensor_maps, zero_complex, zero_map,
     is_quasi_iso, is_degreewise_epi, first_homology_failure,
 )
 from .fincat import (
@@ -83,11 +91,13 @@ class Diagram:
 
 
 def make_diagram(cat: FinCat, at: dict, on: dict) -> Diagram:
-    """Validate diagram data into a functor.
+    """Validate diagram data from outside the package into a functor.
 
     Identity morphisms may be omitted from ``on`` (identity maps are
     filled in); everything else must be present and must satisfy the
-    functor laws on every composable pair.
+    functor laws on every composable pair.  The maps are taken as chain
+    maps, which :func:`~codescent.chaincx.make_map` checked when it built
+    them.  The package's own constructions use :class:`Diagram` directly.
     """
     missing = set(cat.objects) - set(at)
     if missing:
@@ -107,7 +117,6 @@ def make_diagram(cat: FinCat, at: dict, on: dict) -> Diagram:
         s, t = cat.mor[m]
         if f.source != at[s] or f.target != at[t]:
             raise NotAFunctor("map along %r has wrong endpoints" % m)
-        validate_map(f)
     for a in cat.objects:
         i = cat.identity[a]
         if full_on[i] != identity_map(at[a]):
@@ -144,6 +153,13 @@ class NatTrans:
 
 
 def make_nat(source: Diagram, target: Diagram, comps: dict) -> NatTrans:
+    """Validate the components of a transformation from outside the package.
+
+    Every object needs a component with the right endpoints, and every
+    naturality square must commute.  Components are taken as chain maps,
+    checked by :func:`~codescent.chaincx.make_map` when built.  The
+    package's own constructions use :class:`NatTrans` directly.
+    """
     if source.cat != target.cat:
         raise NotNatural("transformation between diagrams on different categories")
     for a in source.cat.objects:
@@ -152,7 +168,6 @@ def make_nat(source: Diagram, target: Diagram, comps: dict) -> NatTrans:
             raise NotNatural("no component at %r" % a)
         if f.source != source.at[a] or f.target != target.at[a]:
             raise NotNatural("component at %r has wrong endpoints" % a)
-        validate_map(f)
     for m, (s, t) in source.cat.mor.items():
         lhs = compose(target.on[m], comps[s])
         rhs = compose(comps[t], source.on[m])
@@ -253,7 +268,7 @@ def _comma_values(cm: CommaCat, y: Diagram):
     return at, on
 
 
-def left_kan(phi: FunctorData, y: Diagram, check: bool = True) -> LeftKan:
+def left_kan(phi: FunctorData, y: Diagram) -> LeftKan:
     if y.cat != phi.source:
         raise NotAFunctor("diagram does not live on the functor's source")
     p = y.prime if y.at else 2
@@ -265,7 +280,7 @@ def left_kan(phi: FunctorData, y: Diagram, check: bool = True) -> LeftKan:
         commas[c] = cm
         if cm.cat.objects:
             cat_at, cat_on = _comma_values(cm, y)
-            colim = finite_colimit(cm.cat, cat_at, cat_on, check=check)
+            colim = finite_colimit(cm.cat, cat_at, cat_on)
             colimits[c] = colim
             at[c] = colim.complex
         else:
@@ -285,7 +300,7 @@ def left_kan(phi: FunctorData, y: Diagram, check: bool = True) -> LeftKan:
             else:
                 raise NotAFunctor("comma category collapsed unexpectedly at %r" % c2)
         on[g] = colimits[c1].induced(legs, at[c2])
-    lk = make_diagram(phi.target, at, on) if check else Diagram(phi.target, at, on)
+    lk = Diagram(phi.target, at, on)
 
     unit_comps = {}
     res_lk = restrict_along(phi, lk)
@@ -293,11 +308,11 @@ def left_kan(phi: FunctorData, y: Diagram, check: bool = True) -> LeftKan:
         fa = phi.on_obj(a)
         o = "(%s|%s)" % (a, phi.target.identity[fa])
         unit_comps[a] = colimits[fa].injections[o]
-    unit = make_nat(y, res_lk, unit_comps) if check else NatTrans(y, res_lk, unit_comps)
+    unit = NatTrans(y, res_lk, unit_comps)
     return LeftKan(lk, unit, commas, colimits)
 
 
-def right_kan(phi: FunctorData, y: Diagram, check: bool = True) -> RightKan:
+def right_kan(phi: FunctorData, y: Diagram) -> RightKan:
     if y.cat != phi.source:
         raise NotAFunctor("diagram does not live on the functor's source")
     p = y.prime if y.at else 2
@@ -309,7 +324,7 @@ def right_kan(phi: FunctorData, y: Diagram, check: bool = True) -> RightKan:
         commas[c] = cm
         if cm.cat.objects:
             cat_at, cat_on = _comma_values(cm, y)
-            lim = finite_limit(cm.cat, cat_at, cat_on, check=check)
+            lim = finite_limit(cm.cat, cat_at, cat_on)
             limits[c] = lim
             at[c] = lim.complex
         else:
@@ -326,7 +341,7 @@ def right_kan(phi: FunctorData, y: Diagram, check: bool = True) -> RightKan:
             o1 = "(%s|%s)" % (a, beta1)
             legs[o] = limits[c1].projections[o1]
         on[g] = limits[c2].induced(legs, at[c1])
-    rk = make_diagram(phi.target, at, on) if check else Diagram(phi.target, at, on)
+    rk = Diagram(phi.target, at, on)
 
     counit_comps = {}
     res_rk = restrict_along(phi, rk)
@@ -334,7 +349,7 @@ def right_kan(phi: FunctorData, y: Diagram, check: bool = True) -> RightKan:
         fa = phi.on_obj(a)
         o = "(%s|%s)" % (a, phi.target.identity[fa])
         counit_comps[a] = limits[fa].projections[o]
-    counit = make_nat(res_rk, y, counit_comps) if check else NatTrans(res_rk, y, counit_comps)
+    counit = NatTrans(res_rk, y, counit_comps)
     return RightKan(rk, counit, commas, limits)
 
 

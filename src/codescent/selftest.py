@@ -34,7 +34,7 @@ from . import _modp
 from .chaincx import (
     ChainComplex, ChainMap, compose, direct_sum, direct_sum_maps, disk,
     first_homology_failure, identity_map, is_quasi_iso, make_complex,
-    make_map, random_chain_map, random_complex, sphere, tensor_with,
+    make_map, random_chain_map, random_complex, sphere,
     zero_complex, zero_map,
 )
 from .fincat import (

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Diagram, make_diagram, restrict_to_subset
+from .diagrams import Diagram, restrict_to_subset
 from .fincat import (
     CatPair, CategoryError, FinCat, UnknownObject, full_subcategory,
     funnel_objects, restrict_sources,
@@ -50,9 +50,8 @@ class Reduction:
 
 
 def _restrict_diagram(x: Diagram, newcat: FinCat) -> Diagram:
-    at = {a: x.at[a] for a in newcat.objects}
-    on = {m: x.on[m] for m in newcat.non_identity_morphisms()}
-    return make_diagram(newcat, at, on)
+    return Diagram(newcat, {a: x.at[a] for a in newcat.objects},
+                   {m: x.on[m] for m in newcat.mor})
 
 
 def _check_focus(x: Diagram, pair: CatPair, c: str) -> None:

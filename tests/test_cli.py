@@ -175,6 +175,36 @@ def test_integer_entries_of_any_size_reduce_mod_p(tmp_path, entry):
     assert inst.diagram.at["c"].d(1).tolist() == [[entry % 3]]
 
 
+def _arrow_payload_at(tmp_path, edit):
+    payload = json.loads((INSTANCES / "arrow_identity.json").read_text())
+    edit(payload)
+    path = tmp_path / "arrow.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_non_string_identity_exits_65_at_its_path(capsys, tmp_path):
+    path = _arrow_payload_at(
+        tmp_path, lambda pl: pl["category"]["identities"].update(d=["x"]))
+    code, _, err = run(capsys, "validate", path)
+    assert code == 65
+    assert "at $.category.identities.d:" in err
+
+
+def test_identity_maps_given_in_the_instance_are_checked(capsys, tmp_path):
+    path = _arrow_payload_at(
+        tmp_path, lambda pl: pl["diagram"]["on"].update(id_d={"0": [0]}))
+    code, _, err = run(capsys, "check", path)
+    assert code == 65
+    assert "at $.diagram:" in err
+    path = _arrow_payload_at(
+        tmp_path, lambda pl: pl["diagram"]["on"].update(id_d={"0": [1]}))
+    for cmd in ("check", "locus"):
+        given = run(capsys, cmd, path, "--format", "json")
+        plain = run(capsys, cmd, INSTANCES / "arrow_identity.json", "--format", "json")
+        assert given == plain
+
+
 def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check"])  # missing the instance argument
@@ -214,6 +244,17 @@ def test_export_dot_shape_facts(capsys):
 
     _, square2, _ = run(capsys, "export-dot", INSTANCES / "square_fails.json")
     assert square2 == square                     # byte-deterministic
+
+
+def test_export_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    text = (INSTANCES / "arrow_identity.json").read_text()
+    text = text.replace('"d"', '"d\\"x"').replace('"alpha"', '"a\\\\b"')
+    path = tmp_path / "quoted.json"
+    path.write_text(text)
+    code, out, _ = run(capsys, "export-dot", path)
+    assert code == 0
+    assert '  "d\\"x" [peripheries=2];' in out.splitlines()
+    assert '  "d\\"x" -> "c" [label="a\\\\b"];' in out.splitlines()
 
 
 def test_export_dot_with_locus_colors(capsys):

@@ -8,22 +8,22 @@ from codescent import (
     CatPair,
     CodescentVerdict,
     DNotFull,
-    ShapeMismatch,
     UnknownObject,
     approximate,
     bar_approximation,
     build_shape,
     codescent_at,
     codescent_locus,
+    compose,
     default_cutoff,
     disk,
     funnel_monoid,
     homology_dims,
-    homotopy_pushout,
     identity_map,
     identity_nat,
     ind_base_approximation,
     is_directed_pair,
+    is_quasi_iso,
     make_diagram,
     make_map,
     oracle_criterion,
@@ -33,7 +33,7 @@ from codescent import (
     zero_complex,
     zero_map,
 )
-from codescent.codescent import HOLDS
+from codescent.codescent import HOLDS, _square_comparison
 from codescent.selftest import (
     EXPECT_MULTI_ARROW_IDENTITY,
     EXPECT_Z2_FUNNEL,
@@ -244,32 +244,31 @@ def test_unknown_strategy_rejected(rng):
 # homotopy pushout
 # ---------------------------------------------------------------------------
 
-def test_pushout_of_identities_is_equivalent_to_the_object(rng):
+def _square(e, d1, d2, c, alpha1, alpha2, beta1, beta2):
+    pair = build_shape("commutative_square")
+    on = {"alpha1": alpha1, "alpha2": alpha2, "beta1": beta1, "beta2": beta2,
+          "gamma": compose(beta1, alpha1)}
+    return make_diagram(pair.cat, {"e": e, "d1": d1, "d2": d2, "c": c}, on)
+
+
+def test_pushout_of_identities_is_equivalent_to_the_object():
     s = sphere(3, 1, 2)
-    hp = homotopy_pushout(identity_map(s), identity_map(s))
-    comp = hp.comparison(identity_map(s), identity_map(s))
-    assert homology_dims(hp.complex) == homology_dims(s)
-    from codescent import is_quasi_iso
+    one = identity_map(s)
+    x = _square(s, s, s, s, one, one, one, one)
+    comp = _square_comparison(x)
+    assert homology_dims(comp.source) == homology_dims(s)
     assert is_quasi_iso(comp)
+    assert oracle_criterion(x, "commutative_square") == HOLDS
 
 
 def test_pushout_of_point_collapses_is_suspension():
     s = sphere(2, 0)
     z = zero_complex(2)
-    hp = homotopy_pushout(zero_map(s, z), zero_map(s, z))
-    assert homology_dims(hp.complex) == {1: 1}
-
-
-def test_pushout_rejects_mismatched_legs():
-    with pytest.raises(ShapeMismatch):
-        homotopy_pushout(identity_map(sphere(2, 0)), identity_map(sphere(2, 1)))
-
-
-def test_comparison_requires_strict_cocone():
-    s = sphere(2, 0)
-    hp = homotopy_pushout(identity_map(s), identity_map(s))
-    with pytest.raises(ShapeMismatch):
-        hp.comparison(identity_map(s), zero_map(s, s))
+    x = _square(s, z, z, z, zero_map(s, z), zero_map(s, z),
+                identity_map(z), identity_map(z))
+    assert homology_dims(_square_comparison(x).source) == {1: 1}
+    assert oracle_criterion(x, "commutative_square") == CodescentVerdict(
+        "fails", degree=1, defect=1)
 
 
 def test_pushout_matches_independent_cone_oracle(rng):
