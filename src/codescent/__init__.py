@@ -9,7 +9,8 @@ Layers, bottom up:
 * :mod:`codescent.fincat` - finite presented categories, shape builders,
   comma categories, glossiness of functors.
 * :mod:`codescent.diagrams` - functors into chain complexes, natural
-  transformations, Kan extensions and their adjunction data.
+  transformations, Kan extensions and their adjunction data, exact
+  lifting.
 * :mod:`codescent.codescent` - the bar and induced-base resolutions and
   the verdict machinery.
 * :mod:`codescent.surgery` - verdict-preserving instance reductions.
@@ -25,13 +26,13 @@ from .chaincx import (
     is_degreewise_epi, is_degreewise_mono,
     homology_dims, is_acyclic, induced_homology_map, mapping_cone,
     is_quasi_iso, first_homology_failure, direct_sum, direct_sum_maps,
-    tensor, tensor_maps, finite_colimit, finite_limit, solve_lifting,
+    tensor, tensor_maps, finite_colimit, finite_limit,
     random_complex, random_chain_map,
 )
 from .fincat import (
     FinCat, CatPair, FunctorData, CategoryError, MissingComposite,
     NonAssociative, BadIdentity, UnknownObject, BadShapeParams, NotAFunctor,
-    make_category, validate_category, make_functor, full_subcategory,
+    make_category, make_functor, full_subcategory,
     inclusion_functor, is_full_subcategory, comma, build_shape,
     funnel_monoid, is_retract, is_isomorphic, subset_predicate,
     funnel_objects, strict_funnel_category, restrict_sources,
@@ -43,7 +44,7 @@ from .diagrams import (
     test_D_class, restrict_along, restrict_nat_along, restrict_to_subset,
     left_kan, right_kan, left_kan_counit, right_kan_unit, kan,
     adjoint_transpose, glossy_formula_check, apply_value_functor,
-    solve_nat_lifting_zero,
+    solve_lifting, solve_nat_lifting_zero,
 )
 from .codescent import (
     CodescentVerdict, CodescentReport, Approximation, DNotFull,

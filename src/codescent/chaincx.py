@@ -115,7 +115,7 @@ class ChainComplex:
             return NotImplemented
         if self.prime != other.prime or self.dims != other.dims:
             return False
-        return all(np.array_equal(self.d(n), other.d(n)) for n in self.degrees())
+        return all(np.array_equal(self.d(n), other.d(n)) for n in self.dims)
 
     def __repr__(self) -> str:
         body = ", ".join("%d:%d" % (n, self.dims[n]) for n in sorted(self.dims))
@@ -144,7 +144,7 @@ def make_complex(prime: int, dims: dict[int, int], diff: dict[int, np.ndarray] |
         if m.any():
             clean_diff[int(n)] = m
     cx = ChainComplex(prime, clean_dims, clean_diff)
-    for n in cx.degrees():
+    for n in cx.dims:
         if cx.dim(n) and cx.dim(n - 2):
             square = _modp.matmul(cx.d(n - 1), cx.d(n), prime)
             if square.any():
@@ -236,7 +236,7 @@ def make_map(source: ChainComplex, target: ChainComplex, comps: dict[int, np.nda
 
 
 def identity_map(cx: ChainComplex) -> ChainMap:
-    return ChainMap(cx, cx, {n: _modp.eye(cx.dim(n)) for n in cx.degrees() if cx.dim(n)})
+    return ChainMap(cx, cx, {n: _modp.eye(k) for n, k in sorted(cx.dims.items()) if k})
 
 
 def zero_map(source: ChainComplex, target: ChainComplex) -> ChainMap:
@@ -272,12 +272,12 @@ def add_maps(f: ChainMap, g: ChainMap) -> ChainMap:
 
 def is_degreewise_epi(f: ChainMap) -> bool:
     p = f.prime
-    return all(_modp.rank(f.component(n), p) == f.target.dim(n) for n in f.target.degrees())
+    return all(_modp.rank(f.component(n), p) == f.target.dim(n) for n in f.target.dims)
 
 
 def is_degreewise_mono(f: ChainMap) -> bool:
     p = f.prime
-    return all(_modp.rank(f.component(n), p) == f.source.dim(n) for n in f.source.degrees())
+    return all(_modp.rank(f.component(n), p) == f.source.dim(n) for n in f.source.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +289,9 @@ def homology_dims(cx: ChainComplex) -> dict[int, int]:
     p = cx.prime
     out = {}
     below = 0  # rank of d_n; d_lo maps into a zero space
-    for n in cx.degrees():
+    for n in sorted(cx.dims):
+        if n - 1 not in cx.dims:
+            below = 0
         above = _modp.rank(cx.d(n + 1), p)
         betti = cx.dim(n) - below - above
         if betti:
@@ -367,14 +369,19 @@ def first_homology_failure(f: ChainMap, through: int | None = None):
     b_n(A) - b_n(B).  Each rank of d^A, d^B and d^C is taken once.
     ``through`` only ends the scan early (truncated verdicts pass
     ``exact_through``); the start stays at the bottom, as the formula needs.
+    Only degrees carrying a cell of A, B or C are visited: elsewhere all
+    three Betti numbers vanish.
     """
     src, tgt, p = f.source, f.target, f.prime
     degs = set(src.dims) | set(tgt.dims)
     if not degs:
         return None
     top = max(degs) if through is None else min(max(degs), through)
+    cells = degs | {n + 1 for n in src.dims}
     below = (0, 0, 0)  # ranks of d_n on A, B, C; d_lo maps into zero spaces
-    for n in range(min(degs), top + 1):
+    for n in sorted(d for d in cells if d <= top):
+        if n - 1 not in cells:
+            below = (0, 0, 0)  # d_n maps into a zero space
         above = (_modp.rank(src.d(n + 1), p), _modp.rank(tgt.d(n + 1), p),
                  _modp.rank(_cone_differential(f, n + 1), p))
         a = src.dim(n) - below[0] - above[0]
@@ -615,13 +622,9 @@ class Limit:
         return ChainMap(source, self.complex, comps)
 
 
-def _degree_span(values) -> range:
-    degs = set()
-    for v in values:
-        degs.update(v.dims)
-    if not degs:
-        return range(0, 0)
-    return range(min(degs), max(degs) + 1)
+def _cell_degrees(values) -> list[int]:
+    """The degrees carrying a cell of some value, ascending."""
+    return sorted(set().union(*(v.dims for v in values)))
 
 
 def _summed_differential(at: dict, order: list, offs: dict, n: int) -> np.ndarray:
@@ -642,7 +645,7 @@ def finite_colimit(shape, at: dict, on: dict) -> Colimit:
                             "build it directly")
     p = at[order[0]].prime
     mors = sorted(shape.non_identity_morphisms())
-    span = _degree_span(at.values())
+    span = _cell_degrees(at.values())
 
     proj: dict[int, np.ndarray] = {}
     sect: dict[int, np.ndarray] = {}
@@ -686,7 +689,7 @@ def finite_colimit(shape, at: dict, on: dict) -> Colimit:
     injections = {}
     for a in order:
         comps = {}
-        for n in at[a].degrees():
+        for n in sorted(at[a].dims):
             if n not in proj:
                 continue
             off = offs[n][a]
@@ -702,7 +705,7 @@ def finite_limit(shape, at: dict, on: dict) -> Limit:
                             "build it directly")
     p = at[order[0]].prime
     mors = sorted(shape.non_identity_morphisms())
-    span = _degree_span(at.values())
+    span = _cell_degrees(at.values())
 
     incl: dict[int, np.ndarray] = {}
     offs: dict[int, dict] = {}
@@ -754,105 +757,6 @@ def finite_limit(shape, at: dict, on: dict) -> Limit:
                 comps[n] = block
         projections[a] = ChainMap(cx, at[a], comps)
     return Limit(cx, projections, incl, order, at)
-
-
-# ---------------------------------------------------------------------------
-# Lifting problems
-# ---------------------------------------------------------------------------
-
-def _vec(m: np.ndarray) -> np.ndarray:
-    return m.reshape(-1)
-
-
-def solve_lifting(i: ChainMap, p_map: ChainMap, top: ChainMap, bottom: ChainMap):
-    """Diagonal filler h with h o i = top and p_map o h = bottom, or None.
-
-    i : A -> B, top : A -> X, p_map : X -> Y, bottom : B -> Y; the square
-    p_map o top = bottom o i must commute.  The filler is found by exact
-    linear algebra on the combined system (chain condition + the two
-    triangles), flattened with Kronecker products; there is no iteration
-    and no approximation.
-    """
-    a_cx, b_cx = i.source, i.target
-    x_cx, y_cx = p_map.source, p_map.target
-    if top.source != a_cx or top.target != x_cx:
-        raise ShapeMismatch("top map has wrong endpoints")
-    if bottom.source != b_cx or bottom.target != y_cx:
-        raise ShapeMismatch("bottom map has wrong endpoints")
-    if compose(p_map, top) != compose(bottom, i):
-        raise NonCommutingSquare(None, "lifting square does not commute")
-    p = a_cx.prime
-
-    degs = sorted(set(b_cx.dims) | set(x_cx.dims))
-    if not degs:
-        return zero_map(b_cx, x_cx)
-    var_deg = [n for n in range(min(degs), max(degs) + 1)
-               if x_cx.dim(n) * b_cx.dim(n) > 0]
-    sizes = {n: x_cx.dim(n) * b_cx.dim(n) for n in var_deg}
-    offset = {}
-    total = 0
-    for n in var_deg:
-        offset[n] = total
-        total += sizes[n]
-
-    rows = []
-    rhs = []
-
-    def emit(row_block: np.ndarray, rhs_block: np.ndarray):
-        rows.append(row_block)
-        rhs.append(rhs_block)
-
-    scan = range(min(degs) - 1, max(degs) + 2)
-    for n in scan:
-        # h_n i_n = top_n
-        if a_cx.dim(n) and x_cx.dim(n) and n in offset:
-            block = _modp.zeros(x_cx.dim(n) * a_cx.dim(n), total)
-            block[:, offset[n] : offset[n] + sizes[n]] = _modp.kron(
-                _modp.eye(x_cx.dim(n)), i.component(n).T, p)
-            emit(block, _vec(top.component(n)))
-        elif a_cx.dim(n) and x_cx.dim(n):
-            if top.component(n).any():
-                return None  # no variables available to hit a nonzero target
-        # p_n h_n = bottom_n
-        if y_cx.dim(n) and b_cx.dim(n):
-            if n in offset:
-                block = _modp.zeros(y_cx.dim(n) * b_cx.dim(n), total)
-                block[:, offset[n] : offset[n] + sizes[n]] = _modp.kron(
-                    p_map.component(n), _modp.eye(b_cx.dim(n)), p)
-                emit(block, _vec(bottom.component(n)))
-            elif bottom.component(n).any():
-                return None
-        # d_X h_n - h_{n-1} d_B = 0
-        out_rows = x_cx.dim(n - 1) * b_cx.dim(n)
-        if out_rows:
-            block = _modp.zeros(out_rows, total)
-            hit = False
-            if n in offset:
-                block[:, offset[n] : offset[n] + sizes[n]] = _modp.kron(
-                    x_cx.d(n), _modp.eye(b_cx.dim(n)), p)
-                hit = True
-            if (n - 1) in offset:
-                sub = _modp.kron(_modp.eye(x_cx.dim(n - 1)), b_cx.d(n).T, p)
-                block[:, offset[n - 1] : offset[n - 1] + sizes[n - 1]] = np.mod(
-                    block[:, offset[n - 1] : offset[n - 1] + sizes[n - 1]] - sub, p)
-                hit = True
-            if hit:
-                emit(block, np.zeros(out_rows, dtype=np.int64))
-
-    if not rows:
-        return zero_map(b_cx, x_cx)
-    system = np.vstack(rows)
-    target = np.concatenate(rhs).reshape(-1, 1)
-    sol = _modp.solve(system, target, p)
-    if sol is None:
-        return None
-    comps = {}
-    flat = sol.reshape(-1)
-    for n in var_deg:
-        m = flat[offset[n] : offset[n] + sizes[n]].reshape(x_cx.dim(n), b_cx.dim(n))
-        if m.any():
-            comps[n] = np.mod(m, p)
-    return make_map(b_cx, x_cx, comps)
 
 
 # ---------------------------------------------------------------------------

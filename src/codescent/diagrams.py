@@ -32,7 +32,7 @@ from .chaincx import (
     ChainComplex, ChainMap, Colimit, Limit,
     PrimeMismatch, ShapeMismatch, NonCommutingSquare,
     compose, direct_sum, finite_colimit, finite_limit, identity_map,
-    make_map, tensor, tensor_maps, zero_complex, zero_map,
+    tensor, tensor_maps, zero_complex, zero_map,
     is_quasi_iso, is_degreewise_epi, first_homology_failure,
 )
 from .fincat import (
@@ -549,41 +549,37 @@ def apply_value_functor(x: Diagram, functor) -> Diagram:
     raise BadShapeParams("unknown value functor %r" % (functor[0],))
 
 
-def solve_nat_lifting_zero(p_nat: NatTrans, bottom: NatTrans):
-    """Natural filler h with p o h = bottom (and no source constraint).
+# The one-object category: a single complex is a diagram on it.
+_POINT = FinCat(("*",), {"id": ("*", "*")}, {"*": "id"}, {})
 
-    Searches for a natural transformation ``h : Q -> Y`` with
-    ``p_nat o h = bottom`` where ``p_nat : Y -> X`` and ``bottom : Q -> X``
-    live over the same category.  All components and all naturality
-    squares go into one exact linear system; returns the filler or None.
+
+def _on_point(f: ChainMap) -> NatTrans:
+    ends = [Diagram(_POINT, {"*": cx}, {"id": identity_map(cx)}) for cx in (f.source, f.target)]
+    return NatTrans(ends[0], ends[1], {"*": f})
+
+
+def _lifting_filler(i: NatTrans, p_nat: NatTrans, top: NatTrans, bottom: NatTrans):
+    """Components of a natural filler h : B -> X with h o i = top and
+    p o h = bottom, or None.
+
+    i : A -> B, top : A -> X, p_nat : X -> Y, bottom : B -> Y live over one
+    category.  The chain condition, naturality and both triangles go into
+    one exact linear system, flattened with Kronecker products (each
+    h(a)_n row by row); there is no iteration and no approximation.
     """
-    if p_nat.target != bottom.target or p_nat.source.cat != bottom.source.cat:
-        raise NotNatural("ill-posed lifting problem")
-    cat = p_nat.source.cat
-    q = bottom.source
-    y = p_nat.source
-    p = q.prime
-
-    var_blocks = []  # (object, degree, rows=dim Y, cols=dim Q)
+    cat = i.source.cat
+    a_dg, b_dg, x_dg = i.source, i.target, p_nat.source
+    p = b_dg.prime
     offset = {}
     total = 0
     for a in cat.objects:
-        degs = set(q.at[a].dims) | set(y.at[a].dims)
-        for n in sorted(degs):
-            r, c = y.at[a].dim(n), q.at[a].dim(n)
-            if r * c:
+        for n in sorted(b_dg.at[a].dims):
+            if x_dg.at[a].dim(n):
                 offset[(a, n)] = total
-                var_blocks.append((a, n, r, c))
-                total += r * c
+                total += x_dg.at[a].dim(n) * b_dg.at[a].dim(n)
 
     rows = []
     rhs = []
-
-    def block_into(system_row, key, mat):
-        if key in offset and mat.size:
-            o = offset[key]
-            system_row[:, o : o + mat.shape[1]] = np.mod(
-                system_row[:, o : o + mat.shape[1]] + mat, p)
 
     def emit(nrows, parts, rhs_vec):
         if nrows == 0:
@@ -592,58 +588,88 @@ def solve_nat_lifting_zero(p_nat: NatTrans, bottom: NatTrans):
         hit = False
         for key, mat in parts:
             if key in offset:
+                o = offset[key]
+                row[:, o : o + mat.shape[1]] = np.mod(row[:, o : o + mat.shape[1]] + mat, p)
                 hit = True
-            block_into(row, key, mat)
-        if hit:
-            rows.append(row)
-            rhs.append(np.mod(rhs_vec, p))
-        elif rhs_vec.any():
+        if hit or rhs_vec.any():
             rows.append(row)
             rhs.append(np.mod(rhs_vec, p))
 
     for a in cat.objects:
-        qa, ya, xa = q.at[a], y.at[a], p_nat.target.at[a]
-        degs = range(min(qa.lo, ya.lo) - 1, max(qa.hi, ya.hi) + 2)
-        for n in degs:
-            # p(a) h(a) = bottom(a)
-            nrows = xa.dim(n) * qa.dim(n)
-            if nrows:
-                part = _modp.kron(p_nat.comps[a].component(n), _modp.eye(qa.dim(n)), p)
-                emit(nrows, [((a, n), part)], bottom.comps[a].component(n).reshape(-1))
-            # d_Y h(a)_n - h(a)_{n-1} d_Q = 0
-            nrows = ya.dim(n - 1) * qa.dim(n)
-            if nrows:
-                p1 = _modp.kron(ya.d(n), _modp.eye(qa.dim(n)), p)
-                p2 = np.mod(-_modp.kron(_modp.eye(ya.dim(n - 1)), qa.d(n).T, p), p)
-                emit(nrows, [((a, n), p1), ((a, n - 1), p2)],
-                     np.zeros(nrows, dtype=np.int64))
-    for m, (a, b) in cat.mor.items():
-        if cat.is_identity(m):
-            continue
-        qa, yb = q.at[a], y.at[b]
-        degs = set(qa.dims) | set(q.at[b].dims) | set(y.at[a].dims) | set(yb.dims)
-        for n in sorted(degs):
-            # h(b) Q(m) - Y(m) h(a) = 0
-            nrows = yb.dim(n) * qa.dim(n)
-            if nrows == 0:
-                continue
-            p1 = _modp.kron(_modp.eye(yb.dim(n)), q.on[m].component(n).T, p)
-            p2 = np.mod(-_modp.kron(p_nat.source.on[m].component(n), _modp.eye(qa.dim(n)), p), p)
-            emit(nrows, [((b, n), p1), ((a, n), p2)], np.zeros(nrows, dtype=np.int64))
+        aa, ba, xa, ya = a_dg.at[a], b_dg.at[a], x_dg.at[a], p_nat.target.at[a]
+        for n in sorted(aa.dims):
+            # h(a)_n i(a)_n = top(a)_n
+            emit(xa.dim(n) * aa.dim(n),
+                 [((a, n), _modp.kron(_modp.eye(xa.dim(n)), i.comps[a].component(n).T, p))],
+                 top.comps[a].component(n).reshape(-1))
+        for n in sorted(ba.dims):
+            # p(a)_n h(a)_n = bottom(a)_n
+            emit(ya.dim(n) * ba.dim(n),
+                 [((a, n), _modp.kron(p_nat.comps[a].component(n), _modp.eye(ba.dim(n)), p))],
+                 bottom.comps[a].component(n).reshape(-1))
+            # d_X h(a)_n - h(a)_{n-1} d_B = 0
+            nrows = xa.dim(n - 1) * ba.dim(n)
+            emit(nrows, [((a, n), _modp.kron(xa.d(n), _modp.eye(ba.dim(n)), p)),
+                         ((a, n - 1), _modp.kron(-_modp.eye(xa.dim(n - 1)), ba.d(n).T, p))],
+                 np.zeros(nrows, dtype=np.int64))
+    for m in cat.non_identity_morphisms():
+        a, b = cat.mor[m]
+        ba, xb = b_dg.at[a], x_dg.at[b]
+        for n in sorted(ba.dims):
+            # h(b) B(m) - X(m) h(a) = 0
+            nrows = xb.dim(n) * ba.dim(n)
+            emit(nrows, [((b, n), _modp.kron(_modp.eye(xb.dim(n)), b_dg.on[m].component(n).T, p)),
+                         ((a, n), _modp.kron(-x_dg.on[m].component(n), _modp.eye(ba.dim(n)), p))],
+                 np.zeros(nrows, dtype=np.int64))
 
-    if not rows:
-        return NatTrans(q, y, {a: zero_map(q.at[a], y.at[a]) for a in cat.objects})
-    system = np.vstack(rows)
-    target = np.concatenate(rhs).reshape(-1, 1)
-    sol = _modp.solve(system, target, p)
-    if sol is None:
-        return None
-    flat = sol.reshape(-1)
+    flat = _modp.zeros(total, 1)
+    if rows:
+        flat = _modp.solve(np.vstack(rows), np.concatenate(rhs).reshape(-1, 1), p)
+        if flat is None:
+            return None
     comps = {a: {} for a in cat.objects}
-    for (a, n, r, c) in var_blocks:
-        o = offset[(a, n)]
-        m = flat[o : o + r * c].reshape(r, c)
-        if m.any():
-            comps[a][n] = m
-    out = {a: make_map(q.at[a], y.at[a], comps[a]) for a in cat.objects}
-    return make_nat(q, y, out)
+    for (a, n), o in offset.items():
+        r, c = x_dg.at[a].dim(n), b_dg.at[a].dim(n)
+        mat = flat[o : o + r * c, 0].reshape(r, c)
+        if mat.any():
+            comps[a][n] = mat
+    return {a: ChainMap(b_dg.at[a], x_dg.at[a], comps[a]) for a in cat.objects}
+
+
+def solve_lifting(i: ChainMap, p_map: ChainMap, top: ChainMap, bottom: ChainMap):
+    """Diagonal filler h with h o i = top and p_map o h = bottom, or None.
+
+    i : A -> B, top : A -> X, p_map : X -> Y, bottom : B -> Y; the square
+    p_map o top = bottom o i must commute.  The lifting axiom of the
+    model structure, solved exactly as the one-object case of
+    :func:`_lifting_filler`.
+    """
+    if top.source != i.source or top.target != p_map.source:
+        raise ShapeMismatch("top map has wrong endpoints")
+    if bottom.source != i.target or bottom.target != p_map.target:
+        raise ShapeMismatch("bottom map has wrong endpoints")
+    if compose(p_map, top) != compose(bottom, i):
+        raise NonCommutingSquare(None, "lifting square does not commute")
+    comps = _lifting_filler(*(_on_point(f) for f in (i, p_map, top, bottom)))
+    return None if comps is None else comps["*"]
+
+
+def solve_nat_lifting_zero(p_nat: NatTrans, bottom: NatTrans):
+    """Natural filler h with p o h = bottom (and no source constraint).
+
+    Searches for a natural transformation ``h : Q -> Y`` with
+    ``p_nat o h = bottom`` where ``p_nat : Y -> X`` and ``bottom : Q -> X``
+    live over the same category: the lifting problem of
+    :func:`_lifting_filler` with i out of the zero diagram.  Returns the
+    filler or None.
+    """
+    if p_nat.target != bottom.target or p_nat.source.cat != bottom.source.cat:
+        raise NotNatural("ill-posed lifting problem")
+    q, y = bottom.source, p_nat.source
+    zero = zero_complex(q.prime)
+    z = Diagram(q.cat, {a: zero for a in q.cat.objects},
+                {m: zero_map(zero, zero) for m in q.cat.mor})
+    i = NatTrans(z, q, {a: zero_map(zero, q.at[a]) for a in q.cat.objects})
+    top = NatTrans(z, y, {a: zero_map(zero, y.at[a]) for a in q.cat.objects})
+    comps = _lifting_filler(i, p_nat, top, bottom)
+    return None if comps is None else NatTrans(q, y, comps)

@@ -2,9 +2,16 @@
 
 A category is given by explicit data: object names, morphism names with
 source/target, a chosen identity per object, and a complete composition
-table.  Nothing is inferred beyond the identity laws, and validation
-checks the axioms exhaustively (these are desk-scale categories; there is
-no word-problem solving here).
+table.  Nothing is inferred beyond the identity laws (these are
+desk-scale categories; there is no word-problem solving here).
+
+Input is checked once, where it enters: :func:`make_category` checks the
+axioms exhaustively and :func:`make_functor` the functor laws, for data
+from outside the package.  The package's own constructions (full
+subcategories, funnels, source restrictions, comma categories, the shape
+catalogue, inclusion functors) hold by construction and use the plain
+:class:`FinCat` and :class:`FunctorData` constructors; the test suite
+re-validates them.
 
 A *pair* is a category together with a distinguished subset of objects.
 All the decision procedures downstream (codescent verdicts, surgery
@@ -53,7 +60,12 @@ class NotAFunctor(CategoryError):
 # ---------------------------------------------------------------------------
 
 class FinCat:
-    """Validated finite category; treat instances as immutable."""
+    """Finite category; treat instances as immutable.
+
+    The constructor fills in the identity-law composites (m o id = m,
+    id o m = m) missing from ``comp``; everything else is taken as given.
+    Data from outside the package goes through :func:`make_category`.
+    """
 
     __slots__ = ("objects", "mor", "identity", "comp", "_hom", "_ident_names")
 
@@ -62,6 +74,9 @@ class FinCat:
         self.mor = dict(mor)            # name -> (src, tgt)
         self.identity = dict(identity)  # object -> identity morphism name
         self.comp = dict(comp)          # (g, f) -> g o f, totality per axioms
+        for m, (s, t) in self.mor.items():
+            self.comp.setdefault((m, self.identity[s]), m)
+            self.comp.setdefault((self.identity[t], m), m)
         self._ident_names = frozenset(self.identity.values())
         hom: dict[tuple[str, str], list[str]] = {}
         for name in sorted(self.mor):
@@ -121,7 +136,7 @@ def make_category(objects, morphisms, identities, composition) -> FinCat:
     ``morphisms`` maps name -> (src, tgt); ``identities`` maps object ->
     morphism name; ``composition`` maps (g, f) -> composite name for every
     composable pair of non-identity morphisms.  Identity-law composites
-    are filled in automatically and cross-checked if supplied.
+    are cross-checked if supplied; :class:`FinCat` fills in the others.
     """
     objects = tuple(objects)
     if len(set(objects)) != len(objects):
@@ -152,14 +167,11 @@ def make_category(objects, morphisms, identities, composition) -> FinCat:
         if (mor[h][0], mor[h][1]) != (mor[f][0], mor[g][1]):
             raise MissingComposite("composite of (%s, %s) has wrong endpoints" % (g, f))
         comp[(g, f)] = h
-    # identity laws: autofill and cross-check
+    # identity laws: cross-check supplied entries (FinCat fills in the rest)
     for m, (s, t) in mor.items():
-        for key, want in (((m, identity[s]), m), ((identity[t], m), m)):
-            if key in comp:
-                if comp[key] != want:
-                    raise BadIdentity("identity law violated at %r" % (key,))
-            else:
-                comp[key] = want
+        for key in ((m, identity[s]), (identity[t], m)):
+            if comp.get(key, m) != m:
+                raise BadIdentity("identity law violated at %r" % (key,))
     # totality over non-identity composable pairs
     for f, (fs, ft) in mor.items():
         if f in ident_names:
@@ -187,10 +199,6 @@ def make_category(objects, morphisms, identities, composition) -> FinCat:
                 if left != right:
                     raise NonAssociative("(%s o %s) o %s != %s o (%s o %s)" % (h, g, f, h, g, f))
     return cat
-
-
-def validate_category(cat: FinCat) -> FinCat:
-    return make_category(cat.objects, cat.mor, cat.identity, cat.comp)
 
 
 @dataclass(frozen=True)
@@ -269,23 +277,26 @@ def full_subcategory(cat: FinCat, objs) -> FinCat:
     if missing:
         raise UnknownObject("not objects of the category: %r" % sorted(missing))
     keep_set = set(keep)
-    mor = {m: st for m, st in cat.mor.items() if st[0] in keep_set and st[1] in keep_set}
-    identity = {a: cat.identity[a] for a in keep}
+    return _subcategory(cat, keep, {m: st for m, st in cat.mor.items()
+                                    if st[0] in keep_set and st[1] in keep_set})
+
+
+def _subcategory(cat: FinCat, keep, mor: dict) -> FinCat:
+    """The subcategory on objects ``keep`` and morphisms ``mor``, which
+    must hold their identities and be closed under composition."""
     comp = {(g, f): h for (g, f), h in cat.comp.items()
             if g in mor and f in mor and h in mor}
-    return make_category(keep, mor, identity, comp)
+    return FinCat(keep, mor, {a: cat.identity[a] for a in keep}, comp)
 
 
 def inclusion_functor(sub: FinCat, amb: FinCat) -> FunctorData:
     """Inclusion of a subcategory whose names are shared with the ambient."""
-    return make_functor(sub, amb,
-                        {a: a for a in sub.objects},
-                        {m: m for m in sub.mor})
+    return FunctorData(sub, amb, {a: a for a in sub.objects}, {m: m for m in sub.mor})
 
 
 def is_full_subcategory(sub: FinCat, amb: FinCat) -> bool:
     try:
-        inclusion_functor(sub, amb)
+        make_functor(sub, amb, {a: a for a in sub.objects}, {m: m for m in sub.mor})
     except (NotAFunctor, KeyError):
         return False
     for a in sub.objects:
@@ -377,8 +388,7 @@ def comma(phi: FunctorData, b: str, side: str) -> CommaCat:
                 continue
             alpha = src.compose(mor_data[g], mor_data[f])
             comp[(g, f)] = by_key[(o1, alpha, o3)]
-    cat = make_category(names, mor, identity, comp)
-    return CommaCat(cat, side, b, obj_data, mor_data, phi)
+    return CommaCat(FinCat(names, mor, identity, comp), side, b, obj_data, mor_data, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +428,7 @@ def _funnel(monoid_size, norm, arrows, act, prefix_m="m", prefix_a="a"):
     for i in range(arrows):
         for j in range(1, monoid_size):
             comp[("%s%d" % (prefix_a, i), "%s%d" % (prefix_m, j))] = "%s%d" % (prefix_a, act(i, j))
-    return make_category(objects, mor, identity, comp)
+    return FinCat(objects, mor, identity, comp)
 
 
 def funnel_monoid(k: int | None = None, index: int | None = None, period: int | None = None,
@@ -466,7 +476,7 @@ def funnel_monoid(k: int | None = None, index: int | None = None, period: int | 
 def build_shape(name: str, **params) -> CatPair:
     """Catalogue of standard pairs used by tests, docs and the CLI."""
     if name == "arrow":
-        cat = make_category(
+        cat = FinCat(
             ("d", "c"),
             {"id_d": ("d", "d"), "id_c": ("c", "c"), "alpha": ("d", "c")},
             {"d": "id_d", "c": "id_c"},
@@ -481,7 +491,7 @@ def build_shape(name: str, **params) -> CatPair:
         mor = {"id_d": ("d", "d"), "id_c": ("c", "c")}
         for i in range(n):
             mor["a%d" % i] = ("d", "c")
-        cat = make_category(("d", "c"), mor, {"d": "id_d", "c": "id_c"}, {})
+        cat = FinCat(("d", "c"), mor, {"d": "id_d", "c": "id_c"}, {})
         return CatPair(cat, frozenset({"d"}))
 
     if name == "commutative_square":
@@ -491,8 +501,8 @@ def build_shape(name: str, **params) -> CatPair:
             "beta1": ("d1", "c"), "beta2": ("d2", "c"), "gamma": ("e", "c"),
         }
         comp = {("beta1", "alpha1"): "gamma", ("beta2", "alpha2"): "gamma"}
-        cat = make_category(("e", "d1", "d2", "c"), mor,
-                            {"e": "id_e", "d1": "id_d1", "d2": "id_d2", "c": "id_c"}, comp)
+        cat = FinCat(("e", "d1", "d2", "c"), mor,
+                     {"e": "id_e", "d1": "id_d1", "d2": "id_d2", "c": "id_c"}, comp)
         return CatPair(cat, frozenset({"e", "d1", "d2"}))
 
     if name == "free_square":
@@ -503,8 +513,8 @@ def build_shape(name: str, **params) -> CatPair:
             "gamma1": ("e", "c"), "gamma2": ("e", "c"),
         }
         comp = {("beta1", "alpha1"): "gamma1", ("beta2", "alpha2"): "gamma2"}
-        cat = make_category(("e", "d1", "d2", "c"), mor,
-                            {"e": "id_e", "d1": "id_d1", "d2": "id_d2", "c": "id_c"}, comp)
+        cat = FinCat(("e", "d1", "d2", "c"), mor,
+                     {"e": "id_e", "d1": "id_d1", "d2": "id_d2", "c": "id_c"}, comp)
         return CatPair(cat, frozenset({"e"}))
 
     if name == "discrete":
@@ -514,7 +524,7 @@ def build_shape(name: str, **params) -> CatPair:
         objects = tuple("x%d" % i for i in range(n))
         mor = {"id_x%d" % i: ("x%d" % i, "x%d" % i) for i in range(n)}
         identity = {"x%d" % i: "id_x%d" % i for i in range(n)}
-        cat = make_category(objects, mor, identity, {})
+        cat = FinCat(objects, mor, identity, {})
         default = frozenset({"x0"}) if n else frozenset()
         dset = frozenset(params.get("dset", default))
         return CatPair(cat, dset)
@@ -544,7 +554,7 @@ def build_shape(name: str, **params) -> CatPair:
             if base.is_identity(f):
                 continue
             comp[(bang[t], f)] = bang[s]
-        cat = make_category(objects, mor, identity, comp)
+        cat = FinCat(objects, mor, identity, comp)
         return CatPair(cat, frozenset(base.objects))
 
     raise BadShapeParams("unknown shape %r" % name)
@@ -642,10 +652,7 @@ def strict_funnel_category(cat: FinCat, eset, c: str) -> FinCat:
         if s == c and not (t == c and cat.is_identity(m)):
             continue
         mor[m] = (s, t)
-    identity = {a: cat.identity[a] for a in keep}
-    comp = {(g, f): h for (g, f), h in cat.comp.items()
-            if g in mor and f in mor and h in mor}
-    return make_category(keep, mor, identity, comp)
+    return _subcategory(cat, keep, mor)
 
 
 def funnel_objects(pair: CatPair, c: str) -> FunnelData:
@@ -668,15 +675,8 @@ def restrict_sources(pair: CatPair) -> FinCat:
     is distinguished.  The distinguished subset is left absorbant in the
     result."""
     cat = pair.cat
-    mor = {}
-    for m, (s, t) in cat.mor.items():
-        if cat.is_identity(m) or s in pair.dset:
-            mor[m] = (s, t)
-    comp = {(g, f): h for (g, f), h in cat.comp.items()
-            if g in mor and f in mor and h in mor}
-    out = make_category(cat.objects, mor, cat.identity, comp)
-    assert subset_predicate(out, "left_absorbant", pair.dset)
-    return out
+    return _subcategory(cat, cat.objects, {m: st for m, st in cat.mor.items()
+                                           if cat.is_identity(m) or st[0] in pair.dset})
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +846,7 @@ def stabilizer_inclusion(k: int, arrows: int) -> PairMorphism:
     mor_map = {"id_c": "id_c", "a0": "a0"}
     for j in range(k // arrows):
         mor_map["m%d" % j] = "m%d" % ((j * arrows) % k)
-    phi = make_functor(sub.cat, ambient.cat, obj_map, mor_map)
+    phi = FunctorData(sub.cat, ambient.cat, obj_map, mor_map)
     witnesses = {"d": [("d", "m%d" % l) for l in range(arrows)]}
     return PairMorphism(phi, CatPair(sub.cat, frozenset({"d"})),
                         CatPair(ambient.cat, frozenset({"d"})), "left", witnesses)
@@ -868,7 +868,7 @@ def coset_inclusion(k: int, subgroup_index: int) -> PairMorphism:
     mor_map = {"id_c": "id_c", "a0": "a0"}
     for j in range(k // m):
         mor_map["m%d" % j] = "m%d" % ((j * m) % k)
-    phi = make_functor(sub.cat, ambient.cat, obj_map, mor_map)
+    phi = FunctorData(sub.cat, ambient.cat, obj_map, mor_map)
     witnesses = {"d": [("d", "m%d" % l) for l in range(m)]}
     return PairMorphism(phi, CatPair(sub.cat, frozenset({"d"})),
                         CatPair(ambient.cat, frozenset({"d"})), "right", witnesses)

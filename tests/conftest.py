@@ -1,11 +1,13 @@
 """Fixtures, and re-validation of the package's own constructions.
 
 The package checks data once, where it enters (``make_complex``,
-``make_map``, ``make_diagram``, ``make_nat``), and builds its own
-resolutions, Kan extensions, (co)limits and surgery restrictions with the
-plain constructors.  Here every such builder is wrapped once, at import,
-and its result goes back through the public validators, so every internal
-construction the suite makes stays checked:
+``make_map``, ``make_diagram``, ``make_nat``, ``make_category``,
+``make_functor``), and builds its own resolutions, Kan extensions,
+(co)limits, surgery restrictions, subcategories, comma categories, shapes,
+inclusion functors and lifting fillers with the plain constructors.  Here
+every such builder is wrapped once, at import, and its result goes back
+through the public validators, so every internal construction the suite
+makes stays checked:
 
 * every complex is valid and already in the normal form of
   ``make_complex`` (no zero-dimensional degree, no all-zero differential);
@@ -13,7 +15,14 @@ construction the suite makes stays checked:
   chain map (``make_map``);
 * functor and naturality laws hold (``make_diagram``, ``make_nat``), and
   colimit injections and limit projections are natural along every
-  morphism of the shape.
+  morphism of the shape;
+* every category round-trips through ``make_category`` unchanged (the
+  axioms hold and the composition table is complete, identity laws
+  included), a source restriction leaves the subset left absorbant, and
+  every functor passes ``make_functor`` (for a comma category, also its
+  projection to the functor's source);
+* every lifting filler is a chain map (or natural) and closes both
+  triangles of its square.
 
 The wrapper is bound under every name in ``codescent.*`` that holds the
 original, the way ``perfbench/tracer.py`` installs its spans, because
@@ -22,13 +31,15 @@ modules import the builders by name.
 
 import functools
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import codescent.cli  # noqa: F401  (loads every module that binds a builder)
 from codescent.chaincx import NonCommutingSquare, compose, make_complex, make_map
-from codescent.diagrams import make_diagram, make_nat
+from codescent.diagrams import compose_nat, make_diagram, make_nat
+from codescent.fincat import make_category, make_functor, subset_predicate
 
 SEED = 20260825
 
@@ -55,6 +66,50 @@ def check_nat(eta):
     for f in eta.comps.values():
         check_map(f)
     make_nat(eta.source, eta.target, eta.comps)
+
+
+def check_category(cat, *args, **kwargs):
+    # FinCat equality compares the composition tables, keys included
+    if make_category(cat.objects, cat.mor, cat.identity, cat.comp) != cat:
+        raise AssertionError("%r does not round-trip through make_category" % (cat,))
+
+
+def check_functor(phi, *args, **kwargs):
+    make_functor(phi.source, phi.target, phi.obj_map, phi.mor_map)
+
+
+def _check_pair(pair, *args, **kwargs):
+    check_category(pair.cat)
+
+
+def _check_restricted_sources(cat, pair):
+    check_category(cat)
+    if not subset_predicate(cat, "left_absorbant", pair.dset):
+        raise AssertionError("the subset is not left absorbant after restriction")
+
+
+def _check_comma(cm, *args, **kwargs):
+    check_category(cm.cat)
+    make_functor(cm.cat, cm.phi.source,
+                 {o: a for o, (a, _) in cm.obj_data.items()}, cm.mor_data)
+
+
+def _check_pair_morphism(pm, *args, **kwargs):
+    check_functor(pm.phi)
+
+
+def _check_lifting(h, i, p_map, top, bottom):
+    if h is not None:
+        check_map(h)
+        if compose(h, i) != top or compose(p_map, h) != bottom:
+            raise AssertionError("filler misses a triangle of its lifting square")
+
+
+def _check_nat_lifting(h, p_nat, bottom):
+    if h is not None:
+        check_nat(h)
+        if compose_nat(p_nat, h) != bottom:
+            raise AssertionError("filler misses the triangle of its lifting square")
 
 
 def _check_approximation(approx, *args, **kwargs):
@@ -100,10 +155,21 @@ CHECKS = {
     "codescent.codescent": {"bar_approximation": _check_approximation,
                             "ind_base_approximation": _check_approximation},
     "codescent.diagrams": {"left_kan": _check_left_kan,
-                           "right_kan": _check_right_kan},
+                           "right_kan": _check_right_kan,
+                           "solve_lifting": _check_lifting,
+                           "solve_nat_lifting_zero": _check_nat_lifting},
     "codescent.chaincx": {"finite_colimit": _check_colimit,
                           "finite_limit": _check_limit},
     "codescent.surgery": {"_restrict_diagram": _check_restriction},
+    "codescent.fincat": {"full_subcategory": check_category,
+                         "strict_funnel_category": check_category,
+                         "restrict_sources": _check_restricted_sources,
+                         "comma": _check_comma,
+                         "funnel_monoid": _check_pair,
+                         "build_shape": _check_pair,
+                         "inclusion_functor": check_functor,
+                         "stabilizer_inclusion": _check_pair_morphism,
+                         "coset_inclusion": _check_pair_morphism},
 }
 
 
@@ -136,8 +202,11 @@ WRAPPERS = _install()
 
 @pytest.fixture
 def revalidation():
-    """The installed wrappers by builder name, and the diagram validator."""
-    return WRAPPERS, check_diagram
+    """The installed wrappers and the checks, by builder name, and the
+    category, functor and diagram validators."""
+    checks = {name: check for by_name in CHECKS.values() for name, check in by_name.items()}
+    return SimpleNamespace(wrappers=WRAPPERS, checks=checks, check_diagram=check_diagram,
+                           check_category=check_category, check_functor=check_functor)
 
 
 @pytest.fixture

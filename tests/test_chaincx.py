@@ -381,6 +381,32 @@ def test_lifting_obstruction_detected():
     assert solve_lifting(i, p_map, top, bottom) is None
 
 
+def test_lifting_closes_the_upper_triangle():
+    # i : S0 -> D1 is a cofibration, p : S0 (+) D1 -> S0 the projection is
+    # a surjective quasi-iso; top hits the degree-0 cell of the D1 summand
+    p = 3
+    a, b = sphere(p, 0), disk(p, 1)
+    x = make_complex(p, {0: 2, 1: 1}, {1: np.array([[0], [1]])})
+    y = sphere(p, 0)
+    i = make_map(a, b, {0: np.array([[1]])})
+    p_map = make_map(x, y, {0: np.array([[1, 0]])})
+    top = make_map(a, x, {0: np.array([[0], [2]])})
+    bottom = zero_map(b, y)
+    h = solve_lifting(i, p_map, top, bottom)
+    assert h is not None
+    assert compose(h, i) == top
+    assert compose(p_map, h) == bottom
+
+
+def test_lifting_obstructed_by_the_upper_triangle_only():
+    # p : S0 -> 0 poses no lower constraint (h = 0 closes it), but every
+    # chain map D1 -> S0 vanishes, so no h has h o i = id
+    p = 2
+    a, b, z = sphere(p, 0), disk(p, 1), zero_complex(p)
+    i = make_map(a, b, {0: np.array([[1]])})
+    assert solve_lifting(i, zero_map(a, z), identity_map(a), zero_map(b, z)) is None
+
+
 def test_lifting_rejects_non_commuting_square():
     p = 2
     s = sphere(p, 0)

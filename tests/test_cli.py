@@ -205,6 +205,22 @@ def test_identity_maps_given_in_the_instance_are_checked(capsys, tmp_path):
         assert given == plain
 
 
+def test_a_degree_gap_costs_no_time(capsys, tmp_path):
+    # D1 at d in degrees 0..1, S0 at c in degree 10**7, alpha = 0: the
+    # verdict walks the degrees that carry a cell, not the gap between them
+    def edit(pl):
+        pl["diagram"]["at"] = {"d": {"lo": 0, "dims": [1, 1], "diff": {"1": [1]}},
+                               "c": {"lo": 10**7, "dims": [1]}}
+        pl["diagram"]["on"] = {}
+    path = _arrow_payload_at(tmp_path, edit)
+    for argv in (("check",), ("check", "--strategy", "ind-base"), ("locus",)):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, argv[0], path, *argv[1:])
+        assert time.perf_counter() - start < 2.0, argv
+        assert code == 1
+        assert "c: Fails(degree=10000000, defect=1)" in out, argv
+
+
 def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check"])  # missing the instance argument

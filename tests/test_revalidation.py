@@ -5,35 +5,29 @@ import sys
 import pytest
 
 from codescent import (
-    ChainComplex, NotAFunctor, build_shape, identity_map, sphere, zero_map,
+    CatPair, ChainComplex, FinCat, FunctorData, NonAssociative, NotAFunctor, build_shape,
+    funnel_monoid, identity_map, sphere, zero_complex, zero_map,
 )
 from codescent._modp import zeros
 from codescent.diagrams import Diagram
 
-# Where each builder must be bound; a rename that leaves one of these
-# names on the unwrapped original would silently stop its checks.
-BINDINGS = {
-    "bar_approximation": ("codescent.codescent", "codescent"),
-    "ind_base_approximation": ("codescent.codescent", "codescent"),
-    "left_kan": ("codescent.diagrams", "codescent.codescent", "codescent.cli",
-                 "codescent"),
-    "right_kan": ("codescent.diagrams", "codescent.cli", "codescent"),
-    "finite_colimit": ("codescent.chaincx", "codescent.diagrams", "codescent"),
-    "finite_limit": ("codescent.chaincx", "codescent.diagrams", "codescent"),
-    "_restrict_diagram": ("codescent.surgery",),
-}
-
 
 def test_every_binding_of_a_builder_is_the_wrapper(revalidation):
-    wrappers, _ = revalidation
-    assert set(wrappers) == set(BINDINGS)
-    for name, modules in BINDINGS.items():
-        for module in modules:
-            assert getattr(sys.modules[module], name) is wrappers[name], (module, name)
+    # A module that imports a builder by a name the hook missed would
+    # silently stop its checks; every such binding must be the wrapper.
+    originals = {id(w.__wrapped__): name for name, w in revalidation.wrappers.items()}
+    assert set(revalidation.wrappers) == set(revalidation.checks)
+    for module, mod in list(sys.modules.items()):
+        if module != "codescent" and not module.startswith("codescent."):
+            continue
+        for attr, value in vars(mod).items():
+            assert id(value) not in originals, (module, attr, originals.get(id(value)))
+    for name, wrapper in revalidation.wrappers.items():
+        assert getattr(sys.modules[wrapper.__module__], name) is wrapper, name
 
 
 def test_the_hook_rejects_planted_faults(revalidation):
-    _, check_diagram = revalidation
+    check_diagram = revalidation.check_diagram
     pair = build_shape("commutative_square")
     s = sphere(2, 0)
     on = {m: identity_map(s) for m in pair.cat.mor}
@@ -47,3 +41,37 @@ def test_the_hook_rejects_planted_faults(revalidation):
                 {m: identity_map(stored_zero) for m in arrow.cat.mor})
     with pytest.raises(AssertionError, match="normal form"):
         check_diagram(x)
+
+
+def test_the_hook_rejects_planted_category_faults(revalidation):
+    check_category = revalidation.check_category
+    # (a o a) o a = b o a = b, but a o (a o a) = a o b = a
+    mor = {"id": ("x", "x"), "a": ("x", "x"), "b": ("x", "x")}
+    comp = {("a", "a"): "b", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "b"}
+    with pytest.raises(NonAssociative):
+        check_category(FinCat(("x",), mor, {"x": "id"}, comp))
+
+    arrow = build_shape("arrow").cat
+    short = FinCat(arrow.objects, arrow.mor, arrow.identity, arrow.comp)
+    del short.comp[("alpha", "id_d")]
+    with pytest.raises(AssertionError, match="make_category"):
+        check_category(short)
+
+    cat = funnel_monoid(k=3).cat
+    mor_map = {m: m for m in cat.mor}
+    mor_map["m1"] = "m0"  # m1 o m1 = m2 would go to m2, yet m0 o m0 = m0
+    with pytest.raises(NotAFunctor):
+        revalidation.check_functor(FunctorData(cat, cat, {a: a for a in cat.objects}, mor_map))
+
+    into_c = CatPair(arrow, frozenset({"c"}))  # alpha enters c from outside
+    with pytest.raises(AssertionError, match="left absorbant"):
+        revalidation.checks["restrict_sources"](arrow, into_c)
+
+
+def test_the_hook_rejects_a_filler_missing_one_triangle(revalidation):
+    s, z = sphere(2, 0), zero_complex(2)
+    i, top = identity_map(s), identity_map(s)
+    p_map, bottom = zero_map(s, z), zero_map(s, z)
+    # h = 0 closes the lower triangle (p o h = 0 = bottom) but not h o i = top
+    with pytest.raises(AssertionError, match="triangle"):
+        revalidation.checks["solve_lifting"](zero_map(s, s), i, p_map, top, bottom)
