@@ -17,7 +17,9 @@ Two strategies compute the resolution:
   degree carrying a value anywhere in the diagram): chains in the
   truncated complex agree with the untruncated one through N + lo, so
   homology classes and their comparisons are faithful strictly below the
-  last agreeing chain degree.
+  last agreeing chain degree.  A verdict at c builds only QX(c) and the
+  comparison xi_c, through degree exact_through + 1 (the last one the
+  rank scan reads); ``bar_approximation`` builds the whole diagram.
 
 * ``ind-base``: resolve the restriction to D first (identity when the
   full subcategory on D is discrete - over a field every single complex
@@ -190,197 +192,174 @@ def _paths_in(sub: FinCat, max_len: int):
     return levels
 
 
-def _exactness_bound(x: Diagram, cutoff: int) -> int:
-    return cutoff + x.lo() - 1
+class _BarLayout:
+    """The layout pass of the bar resolution of X along a pair.
+
+    It holds what every object shares: full(D), directedness, the cutoff
+    and ``exact_through``, the strings by length and the cell degrees of
+    the values on D.  Blocks, their positions and per-degree offsets are
+    laid out one object at a time, on first use (:meth:`at`).
+    """
+
+    strategy = "bar"
+
+    def __init__(self, x: Diagram, pair: CatPair, cutoff: int | None = None):
+        if x.cat != pair.cat:
+            raise UnknownObject("diagram and pair live on different categories")
+        self.x, self.cat = x, pair.cat
+        self.sub = full_subcategory(pair.cat, pair.d_objects)
+        self.directed = is_directed_pair(pair)
+        natural = max(len(self.sub.objects) - 1, 0)
+        if self.directed and (cutoff is None or int(cutoff) >= natural):
+            max_len, self.cutoff, self.exact_through = natural, None, math.inf
+        else:
+            self.cutoff = default_cutoff(x, pair) if cutoff is None else int(cutoff)
+            if self.cutoff < 0:
+                raise BadShapeParams("cutoff must be >= 0")
+            max_len, self.exact_through = self.cutoff, self.cutoff + x.lo() - 1
+        self.levels = _paths_in(self.sub, max_len)
+        self.cells = set().union(*(x.at[d].dims for d in pair.dset))
+        self._objects: dict[str, tuple] = {}
+
+    def at(self, c: str):
+        """(blocks, pos, offsets) at c.
+
+        ``blocks[n]`` lists the strings (d0, (f_1, ..., f_n), lam) of length
+        n, ``pos[n]`` maps (fs, lam) to its index there, and ``offsets[t]``
+        maps (n, index) to the (start, size) of the block at total degree t.
+        """
+        if c not in self._objects:
+            blocks = [[(d0, fs, lam) for (d0, fs, dn) in level for lam in self.cat.hom(dn, c)]
+                      for level in self.levels]
+            pos = [{(fs, lam): b for b, (_, fs, lam) in enumerate(col)} for col in blocks]
+            offsets = {}
+            # only total degrees that carry a block: a degree gap costs nothing
+            for t in sorted({j + n for j in self.cells for n in range(len(blocks))}):
+                where, off = {}, 0
+                for n, col in enumerate(blocks):
+                    if t - n not in self.cells:
+                        continue
+                    for b, (d0, _, _) in enumerate(col):
+                        k = self.x.at[d0].dim(t - n)
+                        if k:
+                            where[n, b] = (off, k)
+                            off += k
+                if where:
+                    offsets[t] = where
+            self._objects[c] = blocks, pos, offsets
+        return self._objects[c]
+
+
+def _bar_complex(lay: _BarLayout, c: str, top: int | None = None) -> ChainComplex:
+    """QX(c) through total degree ``top`` (all of it when None).
+
+    The differential of a block (d0, f_1, ..., f_n, lam) combines the
+    internal differential (sign (-1)^n), X(f_1) on the coefficient (face
+    0), the inner faces f_{i+1} o f_i (sign (-1)^i, dropped when the
+    composite is an identity: that is the normalization) and the last face
+    lam o f_n (sign (-1)^n).  Faces 1..n are +-identity blocks, written as
+    diagonals by one accumulating ``np.add.at`` per differential (so
+    coinciding faces add up); one ``np.mod`` reduces the whole matrix."""
+    x, cat, sub, p = lay.x, lay.cat, lay.sub, lay.x.prime
+    blocks, pos, offsets = lay.at(c)
+    dims = {t: sum(k for _, k in where.values())
+            for t, where in offsets.items() if top is None or t <= top}
+    diff = {}
+    for t in dims:
+        tgt = offsets.get(t - 1)
+        if not tgt:
+            continue
+        m = _modp.zeros(dims[t - 1], dims[t])
+        rows, cols, signs = [], [], []  # the diagonals of the +-identity blocks
+        for (n, b), (off, k) in offsets[t].items():
+            d0, fs, lam = blocks[n][b]
+            j = t - n
+            dense = [((n, b), x.at[d0].d(j) * (1 if n % 2 == 0 else -1))]
+            faces = []
+            if n:
+                dense.append(((n - 1, pos[n - 1].get((fs[1:], lam))), x.on[fs[0]].component(j)))
+                # an identity composite names no string, so its face drops out
+                faces = [(fs[: i - 1] + (sub.compose(fs[i], fs[i - 1]),) + fs[i + 1 :], lam)
+                         for i in range(1, n)] + [(fs[: n - 1], cat.compose(lam, fs[n - 1]))]
+            for key, blk in dense:
+                if key in tgt:
+                    r = tgt[key][0]
+                    m[r : r + blk.shape[0], off : off + k] += blk
+            for i, face in enumerate(faces, 1):
+                key = (n - 1, pos[n - 1].get(face))
+                if key in tgt:
+                    r = tgt[key][0]
+                    rows.extend(range(r, r + k))
+                    cols.extend(range(off, off + k))
+                    signs.extend([1 if i % 2 == 0 else -1] * k)
+        np.add.at(m, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), signs)
+        np.mod(m, p, out=m)
+        if m.any():
+            diff[t] = m
+    return ChainComplex(p, dims, diff)
+
+
+def _bar_comparison(lay: _BarLayout, c: str, qx_c: ChainComplex) -> ChainMap:
+    """xi_c : QX(c) -> X(c), X(lam) on the string-free column."""
+    x = lay.x
+    blocks, _, offsets = lay.at(c)
+    comps = {}
+    for t in qx_c.dims:
+        if x.at[c].dim(t) == 0:
+            continue
+        m = _modp.zeros(x.at[c].dim(t), qx_c.dim(t))
+        for (n, b), (off, k) in offsets[t].items():
+            if n == 0:
+                m[:, off : off + k] = x.on[blocks[0][b][2]].component(t)
+        if m.any():
+            comps[t] = m
+    return ChainMap(qx_c, x.at[c], comps)
 
 
 def bar_approximation(x: Diagram, pair: CatPair, cutoff: int | None = None) -> Approximation:
-    """Normalized bar resolution of a diagram along a pair.
+    """Normalized bar resolution of a diagram along a pair, everywhere.
 
     The value at an object c totals blocks indexed by strings
     (f_1, ..., f_n, lam): the f_i composable non-identity morphisms in the
     full subcategory on D, lam any morphism from their end to c; the block
-    carries the value complex at the string's start, shifted up by n.  The
-    differential combines the internal differential (sign (-1)^n), the
-    application of f_1 to the coefficient, the pairwise compositions
-    inside the string (terms whose composite is an identity are dropped -
-    that is the normalization) and absorption of f_n into lam.
+    carries the value complex at the string's start, shifted up by n (see
+    :func:`_bar_complex` for the differential).  A morphism g acts by
+    lam -> g o lam, a permutation of identity blocks; the comparison map
+    applies lam on the string-free column.  Columns are cut at ``cutoff``
+    when the full subcategory on D is not directed (and on a directed pair
+    too, when an explicit cutoff undercuts the natural string-length
+    bound); see the module docstring for the degree range a truncation
+    certifies.
 
-    The comparison map applies lam on the string-free column.  Columns are
-    cut at ``cutoff`` when the full subcategory on D is not directed (and
-    on a directed pair too, when an explicit cutoff undercuts the natural
-    string-length bound); see the module docstring for the degree range a
-    truncation certifies.
+    Verdicts build only QX(c) and xi_c (:func:`_verdicts`); this full
+    build serves :func:`approximate`, and so
+    :func:`verify_cofibrant_approx`, and the ind-base inner resolution.
     """
-    if x.cat != pair.cat:
-        raise UnknownObject("diagram and pair live on different categories")
-    cat = pair.cat
-    sub = full_subcategory(cat, pair.d_objects)
-    directed = is_directed_pair(pair)
-    p = x.prime
-
-    natural = max(len(sub.objects) - 1, 0)
-    if directed and (cutoff is None or int(cutoff) >= natural):
-        max_len = natural
-        used_cutoff = None
-        exact_through = math.inf
-    else:
-        used_cutoff = default_cutoff(x, pair) if cutoff is None else int(cutoff)
-        if used_cutoff < 0:
-            raise BadShapeParams("cutoff must be >= 0")
-        max_len = used_cutoff
-        exact_through = _exactness_bound(x, used_cutoff)
-
-    levels = _paths_in(sub, max_len)
-
-    # Per object: ordered blocks and their positions.
-    blocks: dict[str, list[list[tuple]]] = {}
-    pos: dict[str, list[dict]] = {}
-    for c in cat.objects:
-        cols = []
-        idx = []
-        for n, level in enumerate(levels):
-            col = []
-            where = {}
-            for (d0, fs, dn) in level:
-                for lam in cat.hom(dn, c):
-                    where[(fs, lam)] = len(col)
-                    col.append((d0, fs, dn, lam))
-            cols.append(col)
-            idx.append(where)
-        blocks[c] = cols
-        pos[c] = idx
-
-    lo = x.lo()
-    hi = x.hi()
-
-    def block_dims(c: str, t: int):
-        """Ordered (n, block, start offset, size) at total degree t."""
-        out = []
-        off = 0
-        for n, col in enumerate(blocks[c]):
-            j = t - n
-            if j < lo or j > hi:
-                continue
-            for b, (d0, fs, dn, lam) in enumerate(col):
-                k = x.at[d0].dim(j)
-                if k:
-                    out.append((n, b, off, k))
-                    off += k
-        return out, off
-
-    cells = set().union(*(x.at[d].dims for d in pair.dset))
-    at: dict[str, ChainComplex] = {}
-    offsets: dict[str, dict[int, dict]] = {}
-    for c in cat.objects:
-        dims = {}
-        offsets[c] = {}
-        # only total degrees that carry a block: a degree gap costs nothing
-        for t in sorted({j + n for j in cells for n in range(len(blocks[c]))}):
-            layout, total = block_dims(c, t)
-            offsets[c][t] = {(n, b): (off, k) for (n, b, off, k) in layout}
-            if total:
-                dims[t] = total
-        diff = {}
-        for t in dims:
-            rows = sum(k for _, k in offsets[c].get(t - 1, {}).values())
-            if rows == 0:
-                continue
-            m = _modp.zeros(rows, dims[t])
-            tgt_off = offsets[c][t - 1]
-            for (n, b), (off, k) in offsets[c][t].items():
-                d0, fs, dn, lam = blocks[c][n][b]
-                j = t - n
-                # internal differential, sign (-1)^n
-                key = (n, b)
-                if key in tgt_off:
-                    sign = 1 if n % 2 == 0 else p - 1
-                    blk = np.mod(sign * x.at[d0].d(j), p)
-                    ro = tgt_off[key][0]
-                    m[ro : ro + blk.shape[0], off : off + k] = np.mod(
-                        m[ro : ro + blk.shape[0], off : off + k] + blk, p)
-                if n == 0:
-                    continue
-                # face 0: apply X(f_1) to the coefficient
-                f1 = fs[0]
-                b2 = pos[c][n - 1].get((fs[1:], lam))
-                if b2 is not None:
-                    key2 = (n - 1, b2)
-                    if key2 in tgt_off:
-                        blk = x.on[f1].component(j)
-                        ro = tgt_off[key2][0]
-                        m[ro : ro + blk.shape[0], off : off + k] = np.mod(
-                            m[ro : ro + blk.shape[0], off : off + k] + blk, p)
-                # inner faces: compose f_{i+1} o f_i, dropped if identity
-                for i in range(1, n):
-                    comp_i = sub.compose(fs[i], fs[i - 1])
-                    if sub.is_identity(comp_i):
-                        continue
-                    new_fs = fs[: i - 1] + (comp_i,) + fs[i + 1 :]
-                    b2 = pos[c][n - 1].get((new_fs, lam))
-                    if b2 is None:
-                        continue
-                    key2 = (n - 1, b2)
-                    if key2 in tgt_off:
-                        sign = 1 if i % 2 == 0 else p - 1
-                        ro = tgt_off[key2][0]
-                        blk = np.mod(sign * _modp.eye(k), p)
-                        m[ro : ro + k, off : off + k] = np.mod(
-                            m[ro : ro + k, off : off + k] + blk, p)
-                # last face: absorb f_n into lam
-                new_lam = cat.compose(lam, fs[n - 1])
-                b2 = pos[c][n - 1].get((fs[: n - 1], new_lam))
-                if b2 is not None:
-                    key2 = (n - 1, b2)
-                    if key2 in tgt_off:
-                        sign = 1 if n % 2 == 0 else p - 1
-                        ro = tgt_off[key2][0]
-                        blk = np.mod(sign * _modp.eye(k), p)
-                        m[ro : ro + k, off : off + k] = np.mod(
-                            m[ro : ro + k, off : off + k] + blk, p)
-            if m.any():
-                diff[t] = m
-        at[c] = ChainComplex(p, dims, diff)
-
+    lay = _BarLayout(x, pair, cutoff)
+    cat = lay.cat
+    at = {c: _bar_complex(lay, c) for c in cat.objects}
     on: dict[str, ChainMap] = {}
     for g, (c1, c2) in cat.mor.items():
+        blocks, _, offsets = lay.at(c1)
+        _, pos2, offsets2 = lay.at(c2)
         comps = {}
         for t in sorted(at[c1].dims):
             if at[c2].dim(t) == 0:
                 continue
-            m = _modp.zeros(at[c2].dim(t), at[c1].dim(t))
-            for (n, b), (off, k) in offsets[c1][t].items():
-                d0, fs, dn, lam = blocks[c1][n][b]
-                b2 = pos[c2][n][(fs, cat.compose(g, lam))]
-                off2, k2 = offsets[c2][t][(n, b2)]
-                m[off2 : off2 + k, off : off + k] = _modp.eye(k)
-            if m.any():
-                comps[t] = m
+            rows, cols = [], []
+            for (n, b), (off, k) in offsets[t].items():
+                _, fs, lam = blocks[n][b]
+                r = offsets2[t][n, pos2[n][fs, cat.compose(g, lam)]][0]
+                rows.extend(range(r, r + k))
+                cols.extend(range(off, off + k))
+            comps[t] = _modp.zeros(at[c2].dim(t), at[c1].dim(t))
+            comps[t][rows, cols] = 1
         on[g] = ChainMap(at[c1], at[c2], comps)
     qx = Diagram(cat, at, on)
-
-    xi_comps = {}
-    for c in cat.objects:
-        comps = {}
-        for t in sorted(qx.at[c].dims):
-            rows = x.at[c].dim(t)
-            if rows == 0:
-                continue
-            m = _modp.zeros(rows, qx.at[c].dim(t))
-            for (n, b), (off, k) in offsets[c][t].items():
-                if n != 0:
-                    continue
-                d0, fs, dn, lam = blocks[c][0][b]
-                blk = x.on[lam].component(t)
-                m[:, off : off + k] = blk
-            if m.any():
-                comps[t] = m
-        xi_comps[c] = ChainMap(qx.at[c], x.at[c], comps)
-    xi = NatTrans(qx, x, xi_comps)
-
-    sizes = {c: [len(col) for col in blocks[c]] for c in cat.objects}
-    return Approximation(qx, xi, pair, "bar", directed, used_cutoff,
-                         exact_through, column_sizes=sizes)
+    xi = NatTrans(qx, x, {c: _bar_comparison(lay, c, at[c]) for c in cat.objects})
+    sizes = {c: [len(col) for col in lay.at(c)[0]] for c in cat.objects}
+    return Approximation(qx, xi, pair, "bar", lay.directed, lay.cutoff,
+                         lay.exact_through, column_sizes=sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +458,37 @@ def _verdict_for_map(f: ChainMap, exact_through) -> CodescentVerdict:
     return _verdict_from_failure(first_homology_failure(f, through), exact_through)
 
 
+def _verdicts(x: Diagram, pair: CatPair, objects, strategy: str, cutoff: int | None):
+    """The layout (bar) or approximation (ind-base), and the verdicts at
+    ``objects`` outside D.  The bar strategy builds only QX(c) and xi_c,
+    through degree ``exact_through + 1`` (the scan reads d_{through + 1}
+    and nothing higher), and scans each as soon as it is built."""
+    if strategy == "bar":
+        res = _BarLayout(x, pair, cutoff)
+        top = None if res.exact_through is math.inf else int(res.exact_through) + 1
+        xis = (_bar_comparison(res, c, _bar_complex(res, c, top)) for c in objects)
+    else:
+        res = approximate(x, pair, strategy, cutoff)
+        xis = (res.xi.comps[c] for c in objects)
+    return res, {c: _verdict_for_map(f, res.exact_through) for c, f in zip(objects, xis)}
+
+
+def _bounds(x: Diagram, pair: CatPair, strategy: str, cutoff: int | None):
+    """(cutoff, exact_through) of the resolution ``strategy`` builds, from
+    the layout pass alone: for ind-base, that of its inner bar resolution
+    over (D, D), unless full(D) is discrete (the exact identity base)."""
+    if strategy != "bar":
+        sub = full_subcategory(pair.cat, pair.d_objects)
+        if not sub.non_identity_morphisms():
+            return None, math.inf
+        x = restrict_along(inclusion_functor(sub, pair.cat), x)
+        pair = CatPair(sub, frozenset(sub.objects))
+    lay = _BarLayout(x, pair, cutoff)
+    return lay.cutoff, lay.exact_through
+
+
 def codescent_at(x: Diagram, pair: CatPair, c: str, strategy: str = "bar",
-                 cutoff: int | None = None,
-                 approx: Approximation | None = None) -> CodescentVerdict:
+                 cutoff: int | None = None) -> CodescentVerdict:
     """Verdict at one object.  On the distinguished subset the answer is
     always Holds (the comparison map is a weak equivalence there by
     construction)."""
@@ -489,9 +496,7 @@ def codescent_at(x: Diagram, pair: CatPair, c: str, strategy: str = "bar",
         raise UnknownObject("no object %r" % c)
     if c in pair.dset:
         return HOLDS
-    if approx is None:
-        approx = approximate(x, pair, strategy, cutoff)
-    return _verdict_for_map(approx.xi.comps[c], approx.exact_through)
+    return _verdicts(x, pair, [c], strategy, cutoff)[1][c]
 
 
 @dataclass
@@ -544,15 +549,10 @@ class CodescentReport:
 
 def codescent_locus(x: Diagram, pair: CatPair, strategy: str = "bar",
                     cutoff: int | None = None) -> CodescentReport:
-    approx = approximate(x, pair, strategy, cutoff)
-    verdicts = {}
-    for c in pair.cat.objects:
-        if c in pair.dset:
-            verdicts[c] = HOLDS
-        else:
-            verdicts[c] = _verdict_for_map(approx.xi.comps[c], approx.exact_through)
-    return CodescentReport(pair, approx.strategy, approx.cutoff,
-                           approx.directed, approx.exact_through, verdicts)
+    res, found = _verdicts(x, pair, pair.complement, strategy, cutoff)
+    verdicts = {c: found.get(c, HOLDS) for c in pair.cat.objects}
+    return CodescentReport(pair, res.strategy, res.cutoff, res.directed,
+                           res.exact_through, verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ match observed output):
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,7 +258,6 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = np.random.default_rng(seed)
     pair = build_shape("arrow")
     cat = pair.cat
-    t0 = time.perf_counter()
     outcomes = {"holds": 0, "fails": 0}
     for i in range(200):
         p = (2, 3)[i % 2]
@@ -279,11 +277,10 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CheckResult:
             return CheckResult("criterion-1", False,
                                "case %d: %s vs oracle %s" % (i, v, o))
         outcomes[v.status] += 1
-    dt = time.perf_counter() - t0
     return CheckResult(
         "criterion-1", True,
         "200 arrow diagrams agree with the quasi-iso oracle "
-        "(%(holds)d hold, %(fails)d fail)" % outcomes + ", %.1fs" % dt)
+        "(%(holds)d hold, %(fails)d fail)" % outcomes)
 
 
 def criterion_2(seed: int = DEFAULT_SEED) -> CheckResult:

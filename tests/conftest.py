@@ -10,9 +10,10 @@ through the public validators, so every internal construction the suite
 makes stays checked:
 
 * every complex is valid and already in the normal form of
-  ``make_complex`` (no zero-dimensional degree, no all-zero differential);
-* every structure map, unit, counit, comparison and (co)limit leg is a
-  chain map (``make_map``);
+  ``make_complex`` (no zero-dimensional degree, no all-zero differential),
+  the QX(c) a bar verdict builds on its own included;
+* every structure map, unit, counit, comparison (a bar verdict's xi_c
+  included) and (co)limit leg is a chain map (``make_map``);
 * functor and naturality laws hold (``make_diagram``, ``make_nat``), and
   colimit injections and limit projections are natural along every
   morphism of the shape;
@@ -112,6 +113,14 @@ def _check_nat_lifting(h, p_nat, bottom):
             raise AssertionError("filler misses the triangle of its lifting square")
 
 
+def _check_bar_complex(cx, *args, **kwargs):
+    check_complex(cx)
+
+
+def _check_bar_comparison(f, *args, **kwargs):
+    check_map(f)
+
+
 def _check_approximation(approx, *args, **kwargs):
     check_diagram(approx.diagram)
     check_nat(approx.xi)
@@ -153,7 +162,9 @@ def _check_restriction(x, *args, **kwargs):
 
 CHECKS = {
     "codescent.codescent": {"bar_approximation": _check_approximation,
-                            "ind_base_approximation": _check_approximation},
+                            "ind_base_approximation": _check_approximation,
+                            "_bar_complex": _check_bar_complex,
+                            "_bar_comparison": _check_bar_comparison},
     "codescent.diagrams": {"left_kan": _check_left_kan,
                            "right_kan": _check_right_kan,
                            "solve_lifting": _check_lifting,

@@ -8,6 +8,7 @@ before the package internals.
 """
 
 import math
+import re
 import time
 
 import numpy as np
@@ -39,6 +40,13 @@ def _run(num, fn, limit=None):
 
 def test_criterion_1_arrow_quasi_iso_equivalence():
     _run(1, st.criterion_1, limit=10.0)
+
+
+def test_selftest_details_carry_no_wall_time():
+    # `selftest --format json` is canonical output: a timing would change
+    # between two runs of the same seed
+    detail = st.criterion_1(st.DEFAULT_SEED + 1).detail
+    assert not re.search(r", \d+\.\ds$", detail), detail
 
 
 def test_criterion_2_multi_arrow_fold_criterion():

@@ -1,11 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import codescent.codescent as cmod
 from codescent import (
     BadShapeParams,
     CatPair,
+    ChainComplex,
+    ChainMap,
     CodescentVerdict,
     DNotFull,
     UnknownObject,
@@ -33,10 +38,11 @@ from codescent import (
     zero_complex,
     zero_map,
 )
-from codescent.codescent import HOLDS, _square_comparison
+from codescent.codescent import HOLDS, _square_comparison, _verdict_for_map
 from codescent.selftest import (
     EXPECT_MULTI_ARROW_IDENTITY,
     EXPECT_Z2_FUNNEL,
+    constant_diagram,
     random_diagram,
     square_diagram,
 )
@@ -202,6 +208,85 @@ def test_locus_report_partitions_objects(rng):
     d = rep.as_dict()
     assert d["failures"] == list(rep.failures)
     assert d["exact_through"] is None  # directed: exact
+
+
+# ---------------------------------------------------------------------------
+# the verdict path against the full build
+# ---------------------------------------------------------------------------
+
+def _verdict_build(x, pair, c, cutoff):
+    """codescent_at's bar verdict at c and the xi_c : QX(c) -> X(c) it
+    scanned; the full resolution must not be built on the way."""
+    built, build = [], cmod._bar_comparison
+
+    def record(lay, obj, qx_c):
+        built.append(build(lay, obj, qx_c))
+        return built[-1]
+
+    with mock.patch.object(cmod, "_bar_comparison", record), \
+            mock.patch.object(cmod, "bar_approximation", side_effect=AssertionError):
+        v = codescent_at(x, pair, c, cutoff=cutoff)
+    (xi_c,) = built
+    return v, xi_c
+
+
+def _below(f, top):
+    """f : A -> B with A cut above degree ``top``."""
+    a = f.source
+    cut = ChainComplex(a.prime, {t: k for t, k in a.dims.items() if t <= top},
+                       {t: m for t, m in a.diff.items() if t <= top})
+    return ChainMap(cut, f.target, {t: m for t, m in f.comps.items() if t <= top})
+
+
+@st.composite
+def bar_cases(draw):
+    """Directed shapes (arrow, multi-arrow, square) and non-directed Z/2,
+    Z/3 funnels over F_2, F_3, F_5, with values spanning two or three
+    degrees (hi > lo) and, on the square, cutoffs below the natural bound."""
+    shape = draw(st.sampled_from(("arrow", "multi_arrow", "commutative_square",
+                                  "funnel2", "funnel3")))
+    if shape.startswith("funnel"):
+        pair, cutoff = funnel_monoid(k=int(shape[-1])), draw(st.integers(1, 4))
+    else:
+        pair = build_shape(shape, **({"n": 2} if shape == "multi_arrow" else {}))
+        cutoff = draw(st.sampled_from((None, 0, 1)))
+    p = draw(st.sampled_from((2, 3, 5)))
+    lo = draw(st.integers(-1, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = random_diagram(rng, pair.cat, p, lo=lo, hi=lo + draw(st.integers(1, 2)),
+                       max_dim=2, cells=draw(st.integers(1, 2)))
+    return pair, x, cutoff
+
+
+@given(bar_cases())
+@settings(max_examples=60, deadline=None)
+def test_verdict_path_builds_the_full_build_through_exact_through_plus_one(case):
+    pair, x, cutoff = case
+    full = bar_approximation(x, pair, cutoff=cutoff)
+    top = full.exact_through + 1
+    report = codescent_locus(x, pair, cutoff=cutoff)
+    for c in pair.complement:
+        v, xi_c = _verdict_build(x, pair, c, cutoff)
+        want = _below(full.xi.comps[c], top)
+        assert xi_c.source == want.source
+        assert xi_c.source.diff.keys() == want.source.diff.keys()
+        assert xi_c == want
+        assert v == report.verdicts[c] == _verdict_for_map(full.xi.comps[c],
+                                                           full.exact_through)
+
+
+def test_verdict_path_builds_nothing_above_exact_through_plus_one():
+    # X(d) in degrees 0..2: the full build at cutoff 3 reaches degree 5,
+    # the verdict reads d_3 at most (exact_through = 3 + 0 - 1 = 2)
+    pair = funnel_monoid(k=2)
+    s = ChainComplex(2, {0: 1, 2: 1}, {})
+    x = constant_diagram(pair.cat, s)
+    v, xi_c = _verdict_build(x, pair, "c", 3)
+    full = bar_approximation(x, pair, cutoff=3)
+    assert full.exact_through == 2
+    assert max(full.diagram.at["c"].dims) == 5
+    assert max(xi_c.source.dims) == 3
+    assert (v.status, v.degree) == ("fails", 1)
 
 
 # ---------------------------------------------------------------------------

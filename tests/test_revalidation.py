@@ -2,11 +2,12 @@
 
 import sys
 
+import numpy as np
 import pytest
 
 from codescent import (
-    CatPair, ChainComplex, FinCat, FunctorData, NonAssociative, NotAFunctor, build_shape,
-    funnel_monoid, identity_map, sphere, zero_complex, zero_map,
+    CatPair, ChainComplex, ChainError, ChainMap, FinCat, FunctorData, NonAssociative,
+    NotAFunctor, build_shape, funnel_monoid, identity_map, sphere, zero_complex, zero_map,
 )
 from codescent._modp import zeros
 from codescent.diagrams import Diagram
@@ -75,3 +76,15 @@ def test_the_hook_rejects_a_filler_missing_one_triangle(revalidation):
     # h = 0 closes the lower triangle (p o h = 0 = bottom) but not h o i = top
     with pytest.raises(AssertionError, match="triangle"):
         revalidation.checks["solve_lifting"](zero_map(s, s), i, p_map, top, bottom)
+
+
+def test_the_hook_rejects_planted_bar_verdict_faults(revalidation):
+    # the QX(c) and xi_c that a bar verdict builds without the full resolution
+    stored_zero = ChainComplex(2, {0: 1, 1: 1}, {1: zeros(1, 1)})
+    with pytest.raises(AssertionError, match="normal form"):
+        revalidation.checks["_bar_complex"](stored_zero)
+    disk = ChainComplex(2, {0: 1, 1: 1}, {1: np.ones((1, 1), dtype=np.int64)})
+    # identity in degree 0 only: f_0 o d_1 = 1 but d_1 o f_1 = 0
+    with pytest.raises(ChainError):
+        revalidation.checks["_bar_comparison"](
+            ChainMap(disk, sphere(2, 0), {0: np.ones((1, 1), dtype=np.int64)}))
