@@ -274,28 +274,26 @@ def quotient_presentation(w: np.ndarray, p: int):
 
     Returns ``(proj, section)`` with ``proj`` of shape (q, N) and
     ``section`` of shape (N, q), where q = N - rank(w),
-    ``proj @ section = I_q`` and ``ker(proj) = col(w)``.  The section picks
-    the standard basis vectors missing from the pivot positions of a
-    column basis of w, so the construction is deterministic.
+    ``proj @ section = I_q`` and ``ker(proj) = col(w)``.
+
+    One :func:`rref` of w^T gives R, whose nonzero rows span col(w) with
+    R[:, P] = I on the pivot coordinates P.  The section is the unit
+    vectors at the free coordinates F, and proj = E_F - R[:, F]^T E_P
+    (E_S picks the coordinates S): it is the identity on the section and
+    kills every row of R.  A projection is fixed by its kernel and a
+    section, and the reduced form of a row space is unique, so the result
+    depends on col(w) alone.  w = 0 (no columns, say) needs no elimination.
     """
     n = w.shape[0]
-    basis = column_space_basis(w, p)
-    s = basis.shape[1]
-    # Row-reduce the transpose to locate pivot coordinates of col(w).
-    if s:
-        _, pivots = rref(basis.T, p)
-    else:
-        pivots = []
-    pivot_set = set(pivots)
-    free = [i for i in range(n) if i not in pivot_set]
-    section = zeros(n, len(free))
-    for j, i in enumerate(free):
-        section[i, j] = 1
-    t = np.hstack([basis, section]) if (s + len(free)) else zeros(n, 0)
-    tinv = inverse(t, p)
-    if tinv is None:
-        raise ArithmeticError("basis completion failed; w not a subspace basis?")
-    proj = tinv[s:, :].copy()
+    r, pivots = rref(w.T, p) if w.any() else (None, [])
+    piv = set(pivots)
+    free = [i for i in range(n) if i not in piv]
+    q = len(free)
+    section = zeros(n, q)
+    section[free, range(q)] = 1
+    proj = section.T.copy()
+    if pivots:
+        proj[:, pivots] = np.mod(-r[: len(pivots), free].T, p)
     return proj, section
 
 

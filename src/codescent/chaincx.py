@@ -558,15 +558,14 @@ def tensor_maps(f: ChainMap, g: ChainMap) -> ChainMap:
 # maps, which is what the Kan extension layer builds on.
 
 class Colimit:
-    __slots__ = ("complex", "injections", "_proj", "_sect", "_order", "_at")
+    __slots__ = ("complex", "injections", "_proj", "_sect", "_order")
 
-    def __init__(self, complex, injections, proj, sect, order, at):
+    def __init__(self, complex, injections, proj, sect, order):
         self.complex = complex
         self.injections = injections
         self._proj = proj
         self._sect = sect
         self._order = order
-        self._at = at
 
     def induced(self, legs: dict, target: ChainComplex) -> ChainMap:
         """Unique map out of the colimit through a cocone ``legs``."""
@@ -590,14 +589,13 @@ class Colimit:
 
 
 class Limit:
-    __slots__ = ("complex", "projections", "_incl", "_order", "_at")
+    __slots__ = ("complex", "projections", "_incl", "_order")
 
-    def __init__(self, complex, projections, incl, order, at):
+    def __init__(self, complex, projections, incl, order):
         self.complex = complex
         self.projections = projections
         self._incl = incl
         self._order = order
-        self._at = at
 
     def induced(self, legs: dict, source: ChainComplex) -> ChainMap:
         """Unique map into the limit through a cone ``legs``."""
@@ -695,7 +693,7 @@ def finite_colimit(shape, at: dict, on: dict) -> Colimit:
             off = offs[n][a]
             comps[n] = proj[n][:, off : off + at[a].dim(n)].copy()
         injections[a] = ChainMap(at[a], cx, comps)
-    return Colimit(cx, injections, proj, sect, order, at)
+    return Colimit(cx, injections, proj, sect, order)
 
 
 def finite_limit(shape, at: dict, on: dict) -> Limit:
@@ -756,7 +754,7 @@ def finite_limit(shape, at: dict, on: dict) -> Limit:
             if block.any():
                 comps[n] = block
         projections[a] = ChainMap(cx, at[a], comps)
-    return Limit(cx, projections, incl, order, at)
+    return Limit(cx, projections, incl, order)
 
 
 # ---------------------------------------------------------------------------

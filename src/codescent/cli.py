@@ -626,13 +626,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
+def _cutoff(text: str) -> int:
+    """``--cutoff``: a non-negative integer, checked at parse like ``$.cutoff``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
     common.add_argument("--strategy", choices=("bar", "ind-base"),
                         help="resolution strategy (default: instance setting or bar)")
-    common.add_argument("--cutoff", type=int,
+    common.add_argument("--cutoff", type=_cutoff,
                         help="string-length cutoff for non-directed pairs")
     common.add_argument("--prime", type=int,
                         help="assert the instance is over this prime")

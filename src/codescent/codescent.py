@@ -24,7 +24,10 @@ Two strategies compute the resolution:
 * ``ind-base``: resolve the restriction to D first (identity when the
   full subcategory on D is discrete - over a field every single complex
   is already resolvent - otherwise the bar construction over (D, D)),
-  then extend along the inclusion by objectwise colimits.
+  then extend along the inclusion by objectwise colimits.  A verdict at c
+  builds only the colimit over (D | c) and xi_c, over an inner resolution
+  built through exact_through + 1; ``ind_base_approximation`` builds the
+  whole left Kan extension.
 
 Verdicts: ``holds`` and ``fails`` are only emitted from exact data (a
 directed pair, or a failure witnessed inside the trustworthy degree
@@ -51,8 +54,8 @@ from .fincat import (
     inclusion_functor, is_full_subcategory,
 )
 from .diagrams import (
-    Diagram, NatTrans, left_kan, make_diagram, make_nat, restrict_along,
-    restrict_to_subset, solve_nat_lifting_zero,
+    Diagram, NatTrans, left_kan, left_kan_at, left_mate, left_transpose_at,
+    make_diagram, make_nat, restrict_along, solve_nat_lifting_zero,
 )
 
 
@@ -217,6 +220,8 @@ class _BarLayout:
             if self.cutoff < 0:
                 raise BadShapeParams("cutoff must be >= 0")
             max_len, self.exact_through = self.cutoff, self.cutoff + x.lo() - 1
+        # the last degree a verdict reads: it scans through exact_through
+        self.top = None if self.exact_through is math.inf else int(self.exact_through) + 1
         self.levels = _paths_in(self.sub, max_len)
         self.cells = set().union(*(x.at[d].dims for d in pair.dset))
         self._objects: dict[str, tuple] = {}
@@ -316,28 +321,10 @@ def _bar_comparison(lay: _BarLayout, c: str, qx_c: ChainComplex) -> ChainMap:
     return ChainMap(qx_c, x.at[c], comps)
 
 
-def bar_approximation(x: Diagram, pair: CatPair, cutoff: int | None = None) -> Approximation:
-    """Normalized bar resolution of a diagram along a pair, everywhere.
-
-    The value at an object c totals blocks indexed by strings
-    (f_1, ..., f_n, lam): the f_i composable non-identity morphisms in the
-    full subcategory on D, lam any morphism from their end to c; the block
-    carries the value complex at the string's start, shifted up by n (see
-    :func:`_bar_complex` for the differential).  A morphism g acts by
-    lam -> g o lam, a permutation of identity blocks; the comparison map
-    applies lam on the string-free column.  Columns are cut at ``cutoff``
-    when the full subcategory on D is not directed (and on a directed pair
-    too, when an explicit cutoff undercuts the natural string-length
-    bound); see the module docstring for the degree range a truncation
-    certifies.
-
-    Verdicts build only QX(c) and xi_c (:func:`_verdicts`); this full
-    build serves :func:`approximate`, and so
-    :func:`verify_cofibrant_approx`, and the ind-base inner resolution.
-    """
-    lay = _BarLayout(x, pair, cutoff)
+def _bar_diagram(lay: _BarLayout, top: int | None = None) -> tuple[Diagram, NatTrans]:
+    """QX and xi : QX -> X through total degree ``top`` (all when None)."""
     cat = lay.cat
-    at = {c: _bar_complex(lay, c) for c in cat.objects}
+    at = {c: _bar_complex(lay, c, top) for c in cat.objects}
     on: dict[str, ChainMap] = {}
     for g, (c1, c2) in cat.mor.items():
         blocks, _, offsets = lay.at(c1)
@@ -356,8 +343,31 @@ def bar_approximation(x: Diagram, pair: CatPair, cutoff: int | None = None) -> A
             comps[t][rows, cols] = 1
         on[g] = ChainMap(at[c1], at[c2], comps)
     qx = Diagram(cat, at, on)
-    xi = NatTrans(qx, x, {c: _bar_comparison(lay, c, at[c]) for c in cat.objects})
-    sizes = {c: [len(col) for col in lay.at(c)[0]] for c in cat.objects}
+    return qx, NatTrans(qx, lay.x, {c: _bar_comparison(lay, c, at[c]) for c in cat.objects})
+
+
+def bar_approximation(x: Diagram, pair: CatPair, cutoff: int | None = None) -> Approximation:
+    """Normalized bar resolution of a diagram along a pair, everywhere.
+
+    The value at an object c totals blocks indexed by strings
+    (f_1, ..., f_n, lam): the f_i composable non-identity morphisms in the
+    full subcategory on D, lam any morphism from their end to c; the block
+    carries the value complex at the string's start, shifted up by n (see
+    :func:`_bar_complex` for the differential).  A morphism g acts by
+    lam -> g o lam, a permutation of identity blocks; the comparison map
+    applies lam on the string-free column.  Columns are cut at ``cutoff``
+    when the full subcategory on D is not directed (and on a directed pair
+    too, when an explicit cutoff undercuts the natural string-length
+    bound); see the module docstring for the degree range a truncation
+    certifies.
+
+    Verdicts build only QX(c) and xi_c (:func:`_verdicts`); this full
+    build serves :func:`approximate`, and so
+    :func:`verify_cofibrant_approx`.
+    """
+    lay = _BarLayout(x, pair, cutoff)
+    qx, xi = _bar_diagram(lay)
+    sizes = {c: [len(col) for col in lay.at(c)[0]] for c in lay.cat.objects}
     return Approximation(qx, xi, pair, "bar", lay.directed, lay.cutoff,
                          lay.exact_through, column_sizes=sizes)
 
@@ -365,6 +375,49 @@ def bar_approximation(x: Diagram, pair: CatPair, cutoff: int | None = None) -> A
 # ---------------------------------------------------------------------------
 # Induced-base approximation
 # ---------------------------------------------------------------------------
+
+class _IndBase:
+    """The layout pass of the ind-base strategy: the inclusion of full(D)
+    into C, and the cutoff and exact_through of the inner bar resolution
+    over (D, D), unless full(D) is discrete (the exact identity base).
+    :meth:`inner` builds the inner diagram and zeta : inner -> X|D."""
+
+    strategy = "ind-base"
+
+    def __init__(self, x: Diagram, pair: CatPair, base: str = "auto",
+                 cutoff: int | None = None, sub: FinCat | None = None):
+        if x.cat != pair.cat:
+            raise UnknownObject("diagram and pair live on different categories")
+        if sub is None:
+            sub = full_subcategory(pair.cat, pair.d_objects)
+        elif tuple(sub.objects) != pair.d_objects or not is_full_subcategory(sub, pair.cat):
+            raise DNotFull("the base subcategory must be the full one on the subset")
+        discrete = not sub.non_identity_morphisms()
+        # over nothing every base resolves to zero
+        if base == "auto" or not sub.objects:
+            base = "identity" if discrete else "bar"
+        if base == "identity" and not discrete:
+            raise BadShapeParams(
+                "identity base is only valid when the full subcategory on the "
+                "subset is discrete; use base='bar'")
+        if base not in ("identity", "bar"):
+            raise BadShapeParams("base must be auto, identity or bar")
+        self.sub, self.base = sub, base
+        self.incl = inclusion_functor(sub, pair.cat)
+        self.res_x = restrict_along(self.incl, x)
+        self.lay = lay = None if base == "identity" else _BarLayout(
+            self.res_x, CatPair(sub, frozenset(sub.objects)), cutoff)
+        self.directed, self.cutoff, self.exact_through, self.top = (
+            (True, None, math.inf, None) if lay is None
+            else (lay.directed, lay.cutoff, lay.exact_through, lay.top))
+
+    def inner(self, top: int | None = None):
+        """The inner diagram and the components of zeta, through degree ``top``."""
+        if self.lay is None:
+            return self.res_x, {d: identity_map(self.res_x.at[d]) for d in self.sub.objects}
+        qx, zeta = _bar_diagram(self.lay, top)
+        return qx, zeta.comps
+
 
 def ind_base_approximation(x: Diagram, pair: CatPair, base: str = "auto",
                            cutoff: int | None = None,
@@ -378,16 +431,15 @@ def ind_base_approximation(x: Diagram, pair: CatPair, base: str = "auto",
     construction over (D, D); ``base="auto"`` picks identity exactly in
     the discrete case.  A non-full ``sub`` is rejected: the construction
     extends along a full inclusion.
+
+    Verdicts build only the colimit at c and xi_c, over an inner
+    resolution cut at exact_through + 1 (:func:`_verdicts`); this full
+    build, the whole left Kan extension with its structure maps, serves
+    :func:`approximate`.
     """
-    if x.cat != pair.cat:
-        raise UnknownObject("diagram and pair live on different categories")
+    res = _IndBase(x, pair, base, cutoff, sub)
     cat = pair.cat
-    if sub is None:
-        sub = full_subcategory(cat, pair.d_objects)
-    else:
-        if tuple(sub.objects) != pair.d_objects or not is_full_subcategory(sub, cat):
-            raise DNotFull("the base subcategory must be the full one on the subset")
-    if not sub.objects:
+    if not res.sub.objects:
         # colimit over nothing: the resolution is zero everywhere
         p = x.prime
         at = {a: zero_complex(p) for a in cat.objects}
@@ -396,48 +448,11 @@ def ind_base_approximation(x: Diagram, pair: CatPair, base: str = "auto",
         xi = NatTrans(qx, x, {a: zero_map(qx.at[a], x.at[a]) for a in cat.objects})
         return Approximation(qx, xi, pair, "ind-base", True, None, math.inf,
                              base="identity")
-    discrete = not sub.non_identity_morphisms()
-
-    if base == "auto":
-        base = "identity" if discrete else "bar"
-    if base == "identity" and not discrete:
-        raise BadShapeParams(
-            "identity base is only valid when the full subcategory on the "
-            "subset is discrete; use base='bar'")
-    if base not in ("identity", "bar"):
-        raise BadShapeParams("base must be auto, identity or bar")
-
-    incl = inclusion_functor(sub, cat)
-    res_x = restrict_along(incl, x)
-
-    if base == "identity":
-        inner = res_x
-        zeta = {d: identity_map(res_x.at[d]) for d in sub.objects}
-        directed = True
-        used_cutoff = None
-        exact_through = math.inf
-    else:
-        inner_pair = CatPair(sub, frozenset(sub.objects))
-        inner_approx = bar_approximation(res_x, inner_pair, cutoff=cutoff)
-        inner = inner_approx.diagram
-        zeta = inner_approx.xi.comps
-        directed = inner_approx.directed
-        used_cutoff = inner_approx.cutoff
-        exact_through = inner_approx.exact_through
-
-    lk = left_kan(incl, inner)
-    qx = lk.diagram
-    xi_comps = {}
-    for c in cat.objects:
-        if c in lk.colimits:
-            legs = {o: compose(x.on[beta], zeta[a])
-                    for o, (a, beta) in lk.commas[c].obj_data.items()}
-            xi_comps[c] = lk.colimits[c].induced(legs, x.at[c])
-        else:
-            xi_comps[c] = zero_map(qx.at[c], x.at[c])
-    xi = NatTrans(qx, x, xi_comps)
-    return Approximation(qx, xi, pair, "ind-base", directed, used_cutoff,
-                         exact_through, base=base)
+    inner, zeta = res.inner()
+    lk = left_kan(res.incl, inner)
+    xi = NatTrans(lk.diagram, x, left_mate(lk, x, zeta))
+    return Approximation(lk.diagram, xi, pair, "ind-base", res.directed, res.cutoff,
+                         res.exact_through, base=res.base)
 
 
 def approximate(x: Diagram, pair: CatPair, strategy: str = "bar",
@@ -459,31 +474,32 @@ def _verdict_for_map(f: ChainMap, exact_through) -> CodescentVerdict:
 
 
 def _verdicts(x: Diagram, pair: CatPair, objects, strategy: str, cutoff: int | None):
-    """The layout (bar) or approximation (ind-base), and the verdicts at
-    ``objects`` outside D.  The bar strategy builds only QX(c) and xi_c,
-    through degree ``exact_through + 1`` (the scan reads d_{through + 1}
-    and nothing higher), and scans each as soon as it is built."""
+    """The layout pass, and the verdicts at ``objects`` outside D.  Each
+    verdict builds only xi_c : QX(c) -> X(c), through degree exact_through
+    + 1 (the scan reads d_{through + 1} and nothing higher), and scans it
+    at once: bar builds QX(c), ind-base the colimit at c of an inner
+    resolution built through the same degree."""
     if strategy == "bar":
         res = _BarLayout(x, pair, cutoff)
-        top = None if res.exact_through is math.inf else int(res.exact_through) + 1
-        xis = (_bar_comparison(res, c, _bar_complex(res, c, top)) for c in objects)
+        xis = (_bar_comparison(res, c, _bar_complex(res, c, res.top)) for c in objects)
+    elif strategy in ("ind-base", "ind_base"):
+        res = _IndBase(x, pair, cutoff=cutoff)
+        inner, zeta = res.inner(res.top)
+
+        def xi_at(c):
+            cm, colim = left_kan_at(res.incl, inner, c)
+            return (zero_map(zero_complex(x.prime), x.at[c]) if colim is None
+                    else left_transpose_at(cm, colim, x, zeta))
+        xis = map(xi_at, objects)
     else:
-        res = approximate(x, pair, strategy, cutoff)
-        xis = (res.xi.comps[c] for c in objects)
+        raise BadShapeParams("strategy must be 'bar' or 'ind-base'")
     return res, {c: _verdict_for_map(f, res.exact_through) for c, f in zip(objects, xis)}
 
 
 def _bounds(x: Diagram, pair: CatPair, strategy: str, cutoff: int | None):
     """(cutoff, exact_through) of the resolution ``strategy`` builds, from
-    the layout pass alone: for ind-base, that of its inner bar resolution
-    over (D, D), unless full(D) is discrete (the exact identity base)."""
-    if strategy != "bar":
-        sub = full_subcategory(pair.cat, pair.d_objects)
-        if not sub.non_identity_morphisms():
-            return None, math.inf
-        x = restrict_along(inclusion_functor(sub, pair.cat), x)
-        pair = CatPair(sub, frozenset(sub.objects))
-    lay = _BarLayout(x, pair, cutoff)
+    the layout pass alone."""
+    lay = _BarLayout(x, pair, cutoff) if strategy == "bar" else _IndBase(x, pair, cutoff=cutoff)
     return lay.cutoff, lay.exact_through
 
 

@@ -33,10 +33,10 @@ from .chaincx import (
     PrimeMismatch, ShapeMismatch, NonCommutingSquare,
     compose, direct_sum, finite_colimit, finite_limit, identity_map,
     tensor, tensor_maps, zero_complex, zero_map,
-    is_quasi_iso, is_degreewise_epi, first_homology_failure,
+    is_quasi_iso, is_degreewise_epi,
 )
 from .fincat import (
-    CatPair, CommaCat, FinCat, FunctorData, NotAFunctor, UnknownObject,
+    CommaCat, FinCat, FunctorData, NotAFunctor, UnknownObject,
     BadShapeParams, comma, full_subcategory, inclusion_functor,
 )
 
@@ -268,7 +268,43 @@ def _comma_values(cm: CommaCat, y: Diagram):
     return at, on
 
 
+def left_kan_at(phi: FunctorData, y: Diagram, c: str) -> tuple[CommaCat, Colimit | None]:
+    """The comma category (a, beta : Phi(a) -> c) and the colimit of Y over
+    it: the value of the left Kan extension at c alone (None when the
+    comma category is empty and the value is zero)."""
+    cm = comma(phi, c, "into")
+    if not cm.cat.objects:
+        return cm, None
+    return cm, finite_colimit(cm.cat, *_comma_values(cm, y))
+
+
+def left_transpose_at(cm: CommaCat, colim: Colimit, x: Diagram, eta: dict) -> ChainMap:
+    """The map out of the colimit over ``cm`` into X(c), c = ``cm.base``,
+    induced by the legs X(beta) o eta_a: the component at c of the mate
+    of eta : Y -> restrict(X) across (left extension, restriction)."""
+    legs = {o: compose(x.on[beta], eta[a]) for o, (a, beta) in cm.obj_data.items()}
+    return colim.induced(legs, x.at[cm.base])
+
+
+def left_mate(lk: LeftKan, x: Diagram, eta: dict) -> dict[str, ChainMap]:
+    """The components of that mate, extension(Y) -> X, at every object."""
+    return {c: left_transpose_at(lk.commas[c], lk.colimits[c], x, eta) if c in lk.colimits
+            else zero_map(lk.diagram.at[c], x.at[c]) for c in lk.diagram.cat.objects}
+
+
+def right_mate(rk: RightKan, x: Diagram, eta: dict) -> dict[str, ChainMap]:
+    """The components of the mate X -> extension(Y) of eta : restrict(X) -> Y
+    across (restriction, right extension), induced by the legs eta_a o X(beta)."""
+    def at(c):
+        legs = {o: compose(eta[a], x.on[beta]) for o, (a, beta) in rk.commas[c].obj_data.items()}
+        return rk.limits[c].induced(legs, x.at[c])
+    return {c: at(c) if c in rk.limits else zero_map(x.at[c], rk.diagram.at[c])
+            for c in rk.diagram.cat.objects}
+
+
 def left_kan(phi: FunctorData, y: Diagram) -> LeftKan:
+    """:func:`left_kan_at` at every object of the target, with the structure
+    maps between the colimits and the unit; a verdict needs one object."""
     if y.cat != phi.source:
         raise NotAFunctor("diagram does not live on the functor's source")
     p = y.prime if y.at else 2
@@ -276,15 +312,12 @@ def left_kan(phi: FunctorData, y: Diagram) -> LeftKan:
     colimits: dict[str, Colimit] = {}
     at: dict[str, ChainComplex] = {}
     for c in phi.target.objects:
-        cm = comma(phi, c, "into")
-        commas[c] = cm
-        if cm.cat.objects:
-            cat_at, cat_on = _comma_values(cm, y)
-            colim = finite_colimit(cm.cat, cat_at, cat_on)
+        commas[c], colim = left_kan_at(phi, y, c)
+        if colim is None:
+            at[c] = zero_complex(p)
+        else:
             colimits[c] = colim
             at[c] = colim.complex
-        else:
-            at[c] = zero_complex(p)
 
     on: dict[str, ChainMap] = {}
     for g, (c1, c2) in phi.target.mor.items():
@@ -357,28 +390,16 @@ def left_kan_counit(phi: FunctorData, x: Diagram, lk: LeftKan | None = None) -> 
     """Counit (extension of a restriction) -> (original diagram)."""
     if lk is None:
         lk = left_kan(phi, restrict_along(phi, x))
-    comps = {}
-    for c in phi.target.objects:
-        if c in lk.colimits:
-            legs = {o: x.on[beta] for o, (a, beta) in lk.commas[c].obj_data.items()}
-            comps[c] = lk.colimits[c].induced(legs, x.at[c])
-        else:
-            comps[c] = zero_map(lk.diagram.at[c], x.at[c])
-    return make_nat(lk.diagram, x, comps)
+    ident = {a: identity_map(x.at[phi.on_obj(a)]) for a in phi.source.objects}
+    return make_nat(lk.diagram, x, left_mate(lk, x, ident))
 
 
 def right_kan_unit(phi: FunctorData, x: Diagram, rk: RightKan | None = None) -> NatTrans:
     """Unit (original diagram) -> (extension of its restriction)."""
     if rk is None:
         rk = right_kan(phi, restrict_along(phi, x))
-    comps = {}
-    for c in phi.target.objects:
-        if c in rk.limits:
-            legs = {o: x.on[beta] for o, (a, beta) in rk.commas[c].obj_data.items()}
-            comps[c] = rk.limits[c].induced(legs, x.at[c])
-        else:
-            comps[c] = zero_map(x.at[c], rk.diagram.at[c])
-    return make_nat(x, rk.diagram, comps)
+    ident = {a: identity_map(x.at[phi.on_obj(a)]) for a in phi.source.objects}
+    return make_nat(x, rk.diagram, right_mate(rk, x, ident))
 
 
 def kan(direction: str, phi: FunctorData, x: Diagram):
@@ -422,15 +443,7 @@ def adjoint_transpose(direction: str, phi: FunctorData, eta: NatTrans,
             if eta.target != restrict_along(phi, x):
                 raise NotNatural("transformation does not land in the restriction")
             lk = left_kan(phi, y)
-            comps = {}
-            for c in phi.target.objects:
-                if c in lk.colimits:
-                    legs = {o: compose(x.on[beta], eta.comps[a])
-                            for o, (a, beta) in lk.commas[c].obj_data.items()}
-                    comps[c] = lk.colimits[c].induced(legs, x.at[c])
-                else:
-                    comps[c] = zero_map(lk.diagram.at[c], x.at[c])
-            return make_nat(lk.diagram, x, comps)
+            return make_nat(lk.diagram, x, left_mate(lk, x, eta.comps))
         if to == "source":
             y = against
             x = eta.target
@@ -446,15 +459,7 @@ def adjoint_transpose(direction: str, phi: FunctorData, eta: NatTrans,
             if eta.source != restrict_along(phi, x):
                 raise NotNatural("transformation does not start at the restriction")
             rk = right_kan(phi, y)
-            comps = {}
-            for c in phi.target.objects:
-                if c in rk.limits:
-                    legs = {o: compose(eta.comps[a], x.on[beta])
-                            for o, (a, beta) in rk.commas[c].obj_data.items()}
-                    comps[c] = rk.limits[c].induced(legs, x.at[c])
-                else:
-                    comps[c] = zero_map(x.at[c], rk.diagram.at[c])
-            return make_nat(x, rk.diagram, comps)
+            return make_nat(x, rk.diagram, right_mate(rk, x, eta.comps))
         if to == "source":
             y = against
             x = eta.source
@@ -479,52 +484,31 @@ def glossy_formula_check(side: str, phi: FunctorData, witnesses: dict, y: Diagra
     right witnesses dually make (+)_j Y(b_j) -> restrict(left extension of
     Y)(b) invertible.  Returns ``(ok, detail)`` per witnessed object.
     """
-    detail = {}
     p = y.prime
-    if side == "left":
-        rk = right_kan(phi, y)
-        for b, wit in witnesses.items():
-            fb = phi.on_obj(b)
-            value = rk.diagram.at[fb]
-            summands = [y.at[bi] for bi, _ in wit]
-            total = direct_sum(summands)[0] if summands else zero_complex(p)
-            ok = total.dims == value.dims
-            if ok:
-                for n in value.degrees():
-                    rows = []
-                    for bi, beta in wit:
-                        o = "(%s|%s)" % (bi, beta)
-                        if o not in rk.limits[fb].projections:
-                            raise InvalidWitness("witness (%s, %s) is not a comma object" % (bi, beta))
-                        rows.append(rk.limits[fb].projections[o].component(n))
-                    stacked = np.vstack(rows) if rows else _modp.zeros(0, value.dim(n))
-                    if not _modp.is_invertible(stacked, p):
-                        ok = False
-                        break
-            detail[b] = ok
-    elif side == "right":
-        lk = left_kan(phi, y)
-        for b, wit in witnesses.items():
-            fb = phi.on_obj(b)
-            value = lk.diagram.at[fb]
-            summands = [y.at[bj] for bj, _ in wit]
-            total = direct_sum(summands)[0] if summands else zero_complex(p)
-            ok = total.dims == value.dims
-            if ok:
-                for n in value.degrees():
-                    cols = []
-                    for bj, beta in wit:
-                        o = "(%s|%s)" % (bj, beta)
-                        if o not in lk.colimits[fb].injections:
-                            raise InvalidWitness("witness (%s, %s) is not a comma object" % (bj, beta))
-                        cols.append(lk.colimits[fb].injections[o].component(n))
-                    stacked = np.hstack(cols) if cols else _modp.zeros(value.dim(n), 0)
-                    if not _modp.is_invertible(stacked, p):
-                        ok = False
-                        break
-            detail[b] = ok
-    else:
+    if side not in ("left", "right"):
         raise BadShapeParams("side must be 'left' or 'right'")
+    # left: projections of the right extension, stacked as rows; right:
+    # injections of the left extension, stacked as columns
+    ext = right_kan(phi, y) if side == "left" else left_kan(phi, y)
+    detail = {}
+    for b, wit in witnesses.items():
+        fb = phi.on_obj(b)
+        value = ext.diagram.at[fb]
+        summands = [y.at[bi] for bi, _ in wit]
+        total = direct_sum(summands)[0] if summands else zero_complex(p)
+        ok = total.dims == value.dims
+        for n in value.degrees() if ok else ():
+            legs = ext.limits[fb].projections if side == "left" else ext.colimits[fb].injections
+            blocks = []
+            for bi, beta in wit:
+                o = "(%s|%s)" % (bi, beta)
+                if o not in legs:
+                    raise InvalidWitness("witness (%s, %s) is not a comma object" % (bi, beta))
+                blocks.append(legs[o].component(n))
+            if not _modp.is_invertible((np.vstack if side == "left" else np.hstack)(blocks), p):
+                ok = False
+                break
+        detail[b] = ok
     return all(detail.values()), detail
 
 

@@ -145,6 +145,28 @@ def solve_lin(rows, rhs, p, ncols=None):
     return x
 
 
+def quotient_presentation(rows, p):
+    """(proj, section) presenting F_p^N / col(w), for w given by its N rows.
+
+    The section is the unit vectors at the coordinates that are not pivots
+    of the reduced transpose of w.  Its columns complete a basis B of
+    col(w) to a basis T = [B | section] of F_p^N, and proj is the bottom
+    rows of T^-1, found by reducing [T | I].  So proj kills col(w) and is
+    the identity on the section.
+    """
+    n = len(rows)
+    k = len(rows[0]) if rows else 0
+    red, pivots = row_reduce([[rows[i][j] for i in range(n)] for j in range(k)], p)
+    basis = red[: len(pivots)]
+    free = [i for i in range(n) if i not in pivots]
+    section = [[1 if i == f else 0 for f in free] for i in range(n)]
+    t = [[b[i] for b in basis] + section[i] for i in range(n)]
+    aug, inv_pivots = row_reduce([t[i] + mat_eye(n)[i] for i in range(n)], p)
+    if inv_pivots != list(range(n)):
+        raise ArithmeticError("the section does not complete a basis of col(w)")
+    return [row[n:] for row in aug[len(pivots):]], section
+
+
 # ---------------------------------------------------------------------------
 # Homology bookkeeping
 # ---------------------------------------------------------------------------

@@ -232,6 +232,31 @@ def test_usage_errors_exit_64(capsys):
     capsys.readouterr()
 
 
+SQUARE, FUNNEL = INSTANCES / "square_fails.json", INSTANCES / "z2_funnel_s0.json"
+FUNCTOR = INSTANCES / "stabilizer_functor.json"
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", FUNNEL),
+    ("check", SQUARE, "--at", "d1"),  # an object of D: no resolution is built
+    ("check", FUNNEL, "--strategy", "ind-base"),
+    ("locus", FUNNEL),
+    ("kan", "ind", FUNNEL, "--along", FUNCTOR),
+    ("prune", "funnel", FUNNEL),
+    ("glossy", "right", FUNNEL, "--along", FUNCTOR),
+    ("export-dot", FUNNEL, "--with-locus"),
+    ("selftest",),
+])
+@pytest.mark.parametrize("cutoff", ["-3", "abc"])
+def test_bad_cutoff_flag_is_a_usage_error(capsys, argv, cutoff):
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv] + ["--cutoff", cutoff])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert "error: argument --cutoff: " in err, err
+    assert ("must be >= 0" if cutoff == "-3" else "invalid int value: 'abc'") in err
+
+
 def test_round_trip_is_canonical(tmp_path):
     inst = parse_instance(str(INSTANCES / "z2_funnel_s0.json"))
     text = to_json(instance_payload(inst))

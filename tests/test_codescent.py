@@ -1,3 +1,4 @@
+import contextlib
 import math
 from unittest import mock
 
@@ -214,19 +215,26 @@ def test_locus_report_partitions_objects(rng):
 # the verdict path against the full build
 # ---------------------------------------------------------------------------
 
-def _verdict_build(x, pair, c, cutoff):
-    """codescent_at's bar verdict at c and the xi_c : QX(c) -> X(c) it
+# what each strategy's full build calls; a verdict must call none of them
+FULL_BUILDS = {"bar": ("bar_approximation",),
+               "ind-base": ("ind_base_approximation", "left_kan")}
+
+
+def _verdict_build(x, pair, c, cutoff, strategy="bar"):
+    """codescent_at's verdict at c and the xi_c : QX(c) -> X(c) it
     scanned; the full resolution must not be built on the way."""
-    built, build = [], cmod._bar_comparison
+    scanned, scan = [], cmod._verdict_for_map
 
-    def record(lay, obj, qx_c):
-        built.append(build(lay, obj, qx_c))
-        return built[-1]
+    def record(f, exact_through):
+        scanned.append(f)
+        return scan(f, exact_through)
 
-    with mock.patch.object(cmod, "_bar_comparison", record), \
-            mock.patch.object(cmod, "bar_approximation", side_effect=AssertionError):
-        v = codescent_at(x, pair, c, cutoff=cutoff)
-    (xi_c,) = built
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(cmod, "_verdict_for_map", record))
+        for name in FULL_BUILDS[strategy]:
+            stack.enter_context(mock.patch.object(cmod, name, side_effect=AssertionError))
+        v = codescent_at(x, pair, c, strategy, cutoff)
+    (xi_c,) = scanned
     return v, xi_c
 
 
@@ -238,11 +246,37 @@ def _below(f, top):
     return ChainMap(cut, f.target, {t: m for t, m in f.comps.items() if t <= top})
 
 
+def _case_diagram(draw, pair):
+    """A random diagram on ``pair`` over F_2, F_3 or F_5, with values
+    spanning two or three degrees (hi > lo)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    lo = draw(st.integers(-1, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_diagram(rng, pair.cat, p, lo=lo, hi=lo + draw(st.integers(1, 2)),
+                          max_dim=2, cells=draw(st.integers(1, 2)))
+
+
+def _assert_verdicts_read_the_full_build(x, pair, cutoff, strategy, full):
+    """At every c outside D the verdict path scans the full build's xi_c cut
+    above exact_through + 1, and its verdict is the full build's and the
+    locus's; returns the locus report."""
+    top = full.exact_through + 1
+    report = codescent_locus(x, pair, strategy, cutoff)
+    for c in pair.complement:
+        v, xi_c = _verdict_build(x, pair, c, cutoff, strategy)
+        want = _below(full.xi.comps[c], top)
+        assert xi_c.source == want.source
+        assert xi_c.source.diff.keys() == want.source.diff.keys()
+        assert xi_c == want
+        assert v == report.verdicts[c] == _verdict_for_map(full.xi.comps[c],
+                                                           full.exact_through)
+    return report
+
+
 @st.composite
 def bar_cases(draw):
     """Directed shapes (arrow, multi-arrow, square) and non-directed Z/2,
-    Z/3 funnels over F_2, F_3, F_5, with values spanning two or three
-    degrees (hi > lo) and, on the square, cutoffs below the natural bound."""
+    Z/3 funnels, on the square with cutoffs below the natural bound."""
     shape = draw(st.sampled_from(("arrow", "multi_arrow", "commutative_square",
                                   "funnel2", "funnel3")))
     if shape.startswith("funnel"):
@@ -250,29 +284,40 @@ def bar_cases(draw):
     else:
         pair = build_shape(shape, **({"n": 2} if shape == "multi_arrow" else {}))
         cutoff = draw(st.sampled_from((None, 0, 1)))
-    p = draw(st.sampled_from((2, 3, 5)))
-    lo = draw(st.integers(-1, 1))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = random_diagram(rng, pair.cat, p, lo=lo, hi=lo + draw(st.integers(1, 2)),
-                       max_dim=2, cells=draw(st.integers(1, 2)))
-    return pair, x, cutoff
+    return pair, _case_diagram(draw, pair), cutoff
+
+
+@st.composite
+def ind_base_cases(draw):
+    """Directed shapes (arrow, multi-arrow and terminal extension over a
+    discrete D, the square over a directed one) and Z/2, Z/3 funnels
+    (non-discrete full(D)), at cutoffs 0 to 4."""
+    shape = draw(st.sampled_from(("arrow", "multi_arrow", "commutative_square",
+                                  "terminal_extension", "funnel2", "funnel3")))
+    if shape.startswith("funnel"):
+        pair = funnel_monoid(k=int(shape[-1]))
+    else:
+        pair = build_shape(shape, **({} if shape in ("arrow", "commutative_square")
+                                     else {"n": 2}))
+    return pair, _case_diagram(draw, pair), draw(st.integers(0, 4))
 
 
 @given(bar_cases())
 @settings(max_examples=60, deadline=None)
 def test_verdict_path_builds_the_full_build_through_exact_through_plus_one(case):
     pair, x, cutoff = case
-    full = bar_approximation(x, pair, cutoff=cutoff)
-    top = full.exact_through + 1
-    report = codescent_locus(x, pair, cutoff=cutoff)
-    for c in pair.complement:
-        v, xi_c = _verdict_build(x, pair, c, cutoff)
-        want = _below(full.xi.comps[c], top)
-        assert xi_c.source == want.source
-        assert xi_c.source.diff.keys() == want.source.diff.keys()
-        assert xi_c == want
-        assert v == report.verdicts[c] == _verdict_for_map(full.xi.comps[c],
-                                                           full.exact_through)
+    _assert_verdicts_read_the_full_build(x, pair, cutoff, "bar",
+                                         bar_approximation(x, pair, cutoff=cutoff))
+
+
+@given(ind_base_cases())
+@settings(max_examples=60, deadline=None)
+def test_ind_base_verdict_path_builds_the_full_build_through_exact_through_plus_one(case):
+    pair, x, cutoff = case
+    full = ind_base_approximation(x, pair, cutoff=cutoff)
+    report = _assert_verdicts_read_the_full_build(x, pair, cutoff, "ind-base", full)
+    if is_directed_pair(pair) and full.exact_through is math.inf:
+        assert report.verdicts == codescent_locus(x, pair, "bar").verdicts
 
 
 def test_verdict_path_builds_nothing_above_exact_through_plus_one():
@@ -286,6 +331,27 @@ def test_verdict_path_builds_nothing_above_exact_through_plus_one():
     assert full.exact_through == 2
     assert max(full.diagram.at["c"].dims) == 5
     assert max(xi_c.source.dims) == 3
+    assert (v.status, v.degree) == ("fails", 1)
+
+
+def test_ind_base_verdict_path_builds_nothing_above_exact_through_plus_one():
+    # the same X: the inner bar resolution over (D, D) at cutoff 3 reaches
+    # degree 5, the verdict path's stops at 3, and so does the colimit at c
+    pair = funnel_monoid(k=2)
+    x = constant_diagram(pair.cat, ChainComplex(2, {0: 1, 2: 1}, {}))
+    inner, build = [], cmod._bar_diagram
+
+    def record(lay, top=None):
+        inner.append(build(lay, top))
+        return inner[-1]
+
+    with mock.patch.object(cmod, "_bar_diagram", record):
+        v, xi_c = _verdict_build(x, pair, "c", 3, "ind-base")
+        full = ind_base_approximation(x, pair, cutoff=3)
+    (capped, _), (whole, _) = inner
+    assert full.exact_through == 2
+    assert max(whole.at["d"].dims) == max(full.diagram.at["c"].dims) == 5
+    assert max(capped.at["d"].dims) == max(xi_c.source.dims) == 3
     assert (v.status, v.degree) == ("fails", 1)
 
 

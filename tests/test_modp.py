@@ -219,6 +219,22 @@ def test_quotient_presentation_properties(mp):
         assert not _modp.matmul(proj, w, p).any()
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 4099, 94906249))
+def test_quotient_presentation_matches_the_oracle(p):
+    rng = np.random.default_rng(p % 1000)
+    full_row_rank = np.hstack([_modp.eye(3), rng.integers(0, p, (3, 2))])
+    low_rank = _modp.matmul(rng.integers(0, p, (6, 2)), rng.integers(0, p, (2, 5)), p)
+    cases = [_modp.zeros(4, 0), _modp.zeros(0, 3), _modp.zeros(3, 2), full_row_rank,
+             full_row_rank[:, [0, 3, 0, 3, 4]],  # duplicate columns
+             low_rank, low_rank[:, [1, 1, 2]], rng.integers(0, p, (5, 3))]
+    for w in cases:
+        proj, section = _modp.quotient_presentation(np.asarray(w, dtype=np.int64), p)
+        want_proj, want_section = oracles.quotient_presentation(w.tolist(), p)
+        assert proj.dtype == section.dtype == np.int64
+        assert proj.shape == (section.shape[1], w.shape[0])
+        assert proj.tolist() == want_proj and section.tolist() == want_section, w
+
+
 def test_column_space_basis_has_full_rank():
     a = np.array([[1, 2, 3], [2, 4, 6], [0, 0, 1]], dtype=np.int64)
     b = _modp.column_space_basis(a, 5)

@@ -7,10 +7,12 @@ import pytest
 
 from codescent import (
     CatPair, ChainComplex, ChainError, ChainMap, FinCat, FunctorData, NonAssociative,
-    NotAFunctor, build_shape, funnel_monoid, identity_map, sphere, zero_complex, zero_map,
+    NonCommutingSquare, NotAFunctor, NotNatural, build_shape, funnel_monoid, identity_map,
+    restrict_to_subset, sphere, zero_complex, zero_map,
 )
 from codescent._modp import zeros
-from codescent.diagrams import Diagram
+from codescent.diagrams import Diagram, NatTrans
+from codescent.selftest import constant_diagram
 
 
 def test_every_binding_of_a_builder_is_the_wrapper(revalidation):
@@ -88,3 +90,28 @@ def test_the_hook_rejects_planted_bar_verdict_faults(revalidation):
     with pytest.raises(ChainError):
         revalidation.checks["_bar_comparison"](
             ChainMap(disk, sphere(2, 0), {0: np.ones((1, 1), dtype=np.int64)}))
+
+
+def test_the_hook_rejects_planted_ind_base_verdict_faults(revalidation):
+    # the colimit at c, xi_c and the truncated inner resolution that an
+    # ind-base verdict builds without the full left Kan extension
+    square = build_shape("commutative_square")
+    s = sphere(2, 0)
+    x = constant_diagram(square.cat, s)
+    y, incl = restrict_to_subset(x, square.d_objects)
+    cm, colim = revalidation.wrappers["left_kan_at"].__wrapped__(incl, y, "c")
+    colim.injections[cm.cat.objects[0]] = zero_map(s, colim.complex)
+    with pytest.raises(NonCommutingSquare):
+        revalidation.checks["left_kan_at"]((cm, colim), incl, y, "c")
+
+    disk = ChainComplex(2, {0: 1, 1: 1}, {1: np.ones((1, 1), dtype=np.int64)})
+    with pytest.raises(ChainError):
+        revalidation.checks["left_transpose_at"](
+            ChainMap(disk, s, {0: np.ones((1, 1), dtype=np.int64)}))
+
+    arrow = build_shape("arrow")
+    x = constant_diagram(arrow.cat, s)
+    # xi_c o X(alpha) = 0 but X(alpha) o xi_d = id
+    xi = NatTrans(x, x, {"d": identity_map(s), "c": zero_map(s, s)})
+    with pytest.raises(NotNatural):
+        revalidation.checks["_bar_diagram"]((x, xi))
