@@ -39,6 +39,7 @@ Exit codes: 0 holds/success, 1 fails, 2 inconclusive (bounded verdict),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -125,7 +126,10 @@ def _load_json(fname: str):
             return json.load(fh)
     except OSError as exc:
         raise DataError(fname, "<file>", str(exc))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and integer
+        # literals above the int-string digit limit; RecursionError, nesting
+        # too deep for the decoder.
         raise DataError(fname, "<json>", str(exc))
 
 
@@ -317,7 +321,7 @@ def _complex_payload(cx: ChainComplex) -> dict:
     for t in sorted(cx.dims):
         m = cx.d(t)
         if m.size and m.any():
-            diff[str(t)] = [int(v) for v in m.reshape(-1)]
+            diff[str(t)] = m.reshape(-1).tolist()
     if diff:
         out["diff"] = diff
     return out
@@ -353,7 +357,7 @@ def instance_payload(inst: Instance) -> dict:
         for t in sorted(set(f.source.dims) | set(f.target.dims)):
             mat = f.component(t)
             if mat.size and mat.any():
-                comps[str(t)] = [int(v) for v in mat.reshape(-1)]
+                comps[str(t)] = mat.reshape(-1).tolist()
         payload["diagram"]["on"][m] = comps
     if inst.focus is not None:
         payload["focus"] = inst.focus
@@ -367,7 +371,45 @@ def instance_payload(inst: Instance) -> dict:
 
 
 def to_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    The stdlib writes ``indent=2`` in pure Python, one call per matrix
+    entry; here each list of plain ints is written from its ``repr`` in C,
+    other scalars and keys go through ``json.dumps``, and any other type
+    raises ``TypeError`` as it does there.
+    """
+    return _dumps(payload, "\n") + "\n"
+
+
+def _dumps(x, nl: str) -> str:
+    """The JSON of ``x``; ``nl`` is the line break and indent of its level."""
+    if isinstance(x, (dict, list, tuple)):
+        if not x:
+            return "{}" if isinstance(x, dict) else "[]"
+        inner = nl + "  "
+        if isinstance(x, dict):
+            body = ("," + inner).join(_json_key(k) + ": " + _dumps(v, inner)
+                                      for k, v in sorted(x.items()))
+            return "{" + inner + body + nl + "}"
+        if set(map(type, x)) == {int}:  # no bool, no int subclass
+            # the repr of a list of ints is their JSON joined by ", "
+            body = repr(list(x))[1:-1].replace(", ", "," + inner)
+        else:
+            body = ("," + inner).join(_dumps(v, inner) for v in x)
+        return "[" + inner + body + nl + "]"
+    if x is None or isinstance(x, (str, int, float)):
+        return json.dumps(x)
+    raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
+
+
+def _json_key(k) -> str:
+    """A dict key as ``json.dumps`` writes it: a number, bool or None as
+    the string of its JSON text."""
+    if isinstance(k, str):
+        return json.dumps(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"%s"' % json.dumps(k)
+    raise TypeError("keys must be str, int, float, bool or None, not %s" % type(k).__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +679,10 @@ def _cutoff(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call in the
+    process (parsing keeps no state in it)."""
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
@@ -712,8 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except DataError as exc:

@@ -95,9 +95,12 @@ def make_diagram(cat: FinCat, at: dict, on: dict) -> Diagram:
 
     Identity morphisms may be omitted from ``on`` (identity maps are
     filled in); everything else must be present and must satisfy the
-    functor laws on every composable pair.  The maps are taken as chain
-    maps, which :func:`~codescent.chaincx.make_map` checked when it built
-    them.  The package's own constructions use :class:`Diagram` directly.
+    functor laws: identities go to identity maps, and composites are
+    checked on every composable pair of non-identity morphisms (a pair
+    with an identity follows from the identity check, since
+    ``FinCat.compose(g, id)`` is g).  The maps are taken as chain maps,
+    which :func:`~codescent.chaincx.make_map` checked when it built them.
+    The package's own constructions use :class:`Diagram` directly.
     """
     missing = set(cat.objects) - set(at)
     if missing:
@@ -121,8 +124,9 @@ def make_diagram(cat: FinCat, at: dict, on: dict) -> Diagram:
         i = cat.identity[a]
         if full_on[i] != identity_map(at[a]):
             raise NotAFunctor("identity of %r is not sent to the identity map" % a)
-    for f, (fs, ft) in cat.mor.items():
-        for g, (gs, gt) in cat.mor.items():
+    plain = [(m, s, t) for m, (s, t) in cat.mor.items() if not cat.is_identity(m)]
+    for f, fs, ft in plain:
+        for g, gs, gt in plain:
             if gs != ft:
                 continue
             h = cat.compose(g, f)
@@ -156,7 +160,9 @@ def make_nat(source: Diagram, target: Diagram, comps: dict) -> NatTrans:
     """Validate the components of a transformation from outside the package.
 
     Every object needs a component with the right endpoints, and every
-    naturality square must commute.  Components are taken as chain maps,
+    naturality square along a non-identity morphism must commute (along
+    an identity it commutes, both diagrams sending identities to identity
+    maps).  Components are taken as chain maps,
     checked by :func:`~codescent.chaincx.make_map` when built.  The
     package's own constructions use :class:`NatTrans` directly.
     """
@@ -169,6 +175,8 @@ def make_nat(source: Diagram, target: Diagram, comps: dict) -> NatTrans:
         if f.source != source.at[a] or f.target != target.at[a]:
             raise NotNatural("component at %r has wrong endpoints" % a)
     for m, (s, t) in source.cat.mor.items():
+        if source.cat.is_identity(m):
+            continue
         lhs = compose(target.on[m], comps[s])
         rhs = compose(comps[t], source.on[m])
         if lhs != rhs:

@@ -1,10 +1,14 @@
+import copy
 import json
+import re
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from codescent.cli import main, parse_instance, instance_payload, to_json
+from codescent.cli import build_parser, main, parse_instance, instance_payload, to_json
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -205,6 +209,30 @@ def test_identity_maps_given_in_the_instance_are_checked(capsys, tmp_path):
         assert given == plain
 
 
+def _square_with(tmp_path, edit):
+    payload = json.loads((INSTANCES / "square_fails.json").read_text())
+    edit(payload["diagram"]["on"])
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_functor_law_faults_exit_65_at_diagram(capsys, tmp_path):
+    # make_diagram checks composites of non-identity pairs only: a fault
+    # at an identity is still caught by the identity check, and a
+    # non-identity composite (gamma = beta1 . alpha1) by the pair check
+    twice = {str(t): (2 * np.eye(n, dtype=int)).reshape(-1).tolist()  # p = 3
+             for t, n in enumerate([3, 5, 1])}
+    path = _square_with(tmp_path, lambda on: on.update(id_d1=twice))
+    code, _, err = run(capsys, "validate", path)
+    assert code == 65
+    assert "at $.diagram: identity of 'd1' is not sent to the identity map" in err
+    path = _square_with(tmp_path, lambda on: on.update(gamma={}))
+    code, _, err = run(capsys, "validate", path)
+    assert code == 65
+    assert "at $.diagram: composition fails on (beta1, alpha1)" in err
+
+
 def test_a_degree_gap_costs_no_time(capsys, tmp_path):
     # D1 at d in degrees 0..1, S0 at c in degree 10**7, alpha = 0: the
     # verdict walks the degrees that carry a cell, not the gap between them
@@ -255,6 +283,80 @@ def test_bad_cutoff_flag_is_a_usage_error(capsys, argv, cutoff):
     err = capsys.readouterr().err
     assert "error: argument --cutoff: " in err, err
     assert ("must be >= 0" if cutoff == "-3" else "invalid int value: 'abc'") in err
+
+
+_UNREADABLE = {
+    "non-utf8": b'{"prime": 2, "focus": "\xff"}',
+    "nested-100000-deep": b"[" * 100000 + b"]" * 100000,
+    "5000-digit-int": b'{"prime": ' + b"7" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREADABLE))
+def test_unreadable_json_exits_65_at_json(capsys, tmp_path, case):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_UNREADABLE[case])
+    code, _, err = run(capsys, "validate", bad)
+    assert code == 65
+    assert "%s: at <json>: " % bad in err
+    code, _, err = run(capsys, "kan", "res", FUNNEL, "--along", bad)
+    assert code == 65
+    assert "%s: at <json>: " % bad in err
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "glossy", "right", FUNNEL, "--along", FUNCTOR,
+                       "--at", "d", "--format", "json")
+    assert (code, list(json.loads(out)["witnesses"])) == (0, ["d"])
+    code, out, _ = run(capsys, "glossy", "right", FUNNEL, "--along", FUNCTOR,
+                       "--format", "json")
+    assert (code, sorted(json.loads(out)["witnesses"])) == (0, ["c", "d"])
+
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(FUNNEL), "--strategy", "nope"])
+    assert exc.value.code == 64
+    capsys.readouterr()
+    assert run(capsys, "check", FUNNEL) == (1, "c: Fails(degree=1, defect=1)\n", "")
+
+    main(["check", str(FUNNEL), "--format", "json", "--strategy", "ind-base",
+          "--cutoff", "2"])
+    capsys.readouterr()
+    args = build_parser().parse_args(["check", str(FUNNEL)])
+    assert (args.format, args.strategy, args.cutoff, args.at) == ("text", None, None, None)
+
+
+_JSON_LEAVES = st.one_of(
+    st.integers(), st.integers(2 ** 63, 2 ** 80), st.integers(-2 ** 80, -2 ** 63),
+    st.none(), st.floats(),  # floats include inf and nan
+    st.text(), st.text(alphabet='a"\\/\n\x00\u00e9\u2603\U0001d53d'),
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(st.one_of(st.integers(), st.booleans())),  # bools among ints
+        st.lists(kids), st.lists(kids).map(tuple), st.dictionaries(st.text(), kids),
+        st.dictionaries(st.integers(), kids)),
+    max_leaves=25)
+
+
+@given(_JSON_PAYLOADS)
+@settings(max_examples=150, deadline=None)
+def test_to_json_is_json_dumps(x):
+    assert to_json(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("x", [
+    {(1, 2): 3}, {"a": {None: 1, "b": 2}}, np.int64(3), [1, np.int64(2)],
+    {"a": np.float32(1.0)}, {"x": object()},
+], ids=["tuple-key", "mixed-keys", "numpy-int", "numpy-int-in-list",
+        "numpy-float", "object"])
+def test_to_json_raises_what_json_dumps_raises(x):
+    with pytest.raises(TypeError) as want:
+        json.dumps(x, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        to_json(x)
+    assert str(got.value) == str(want.value)
 
 
 def test_round_trip_is_canonical(tmp_path):
@@ -395,3 +497,70 @@ def test_kan_unmapped_morphism_is_a_data_error(capsys):
                        "--along", INSTANCES / "stabilizer_functor.json")
     assert code == 65
     assert "not mapped" in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: mutated shipped instances end in a verdict or a clean exit
+# ---------------------------------------------------------------------------
+
+_SHIPPED = sorted(p for p in INSTANCES.glob("*.json") if p != FUNCTOR)
+_NODE_VALUES = [0, 1, 3, -1, 2 ** 70, 1.5, True, None, "", "c", "x",
+                [], {}, [0], {"0": [1]}]
+
+
+def _json_nodes(x, at=()):
+    yield at
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for k, v in items:
+        yield from _json_nodes(v, at + (k,))
+
+
+def _replace(x, at, value):
+    if not at:
+        return value
+    x[at[0]] = _replace(x[at[0]], at[1:], value)
+    return x
+
+
+@st.composite
+def _mutated_files(draw):
+    """(shipped file, mutated bytes): up to three JSON nodes replaced, or
+    the bytes truncated, or one byte replaced."""
+    path = draw(st.sampled_from(_SHIPPED + [FUNCTOR]))
+    raw = path.read_bytes()
+    kind = draw(st.sampled_from(["node", "truncate", "byte"]))
+    if kind == "node":
+        payload = json.loads(raw)
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.sampled_from(list(_json_nodes(payload))))
+            payload = _replace(payload, at, copy.deepcopy(draw(st.sampled_from(_NODE_VALUES))))
+        return path, json.dumps(payload).encode()
+    i = draw(st.integers(0, len(raw) - 1))
+    if kind == "truncate":
+        return path, raw[:i]
+    return path, raw[:i] + bytes([draw(st.integers(0, 255))]) + raw[i + 1:]
+
+
+@given(_mutated_files())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_instances_end_in_a_verdict_or_a_clean_exit(capsys, tmp_path, case):
+    source, data = case
+    bad = tmp_path / "case.json"
+    bad.write_bytes(data)
+    if source == FUNCTOR:
+        argvs = [("kan", "res", FUNNEL, "--along", bad),
+                 ("glossy", "right", FUNNEL, "--along", bad)]
+    else:
+        argvs = [("validate", bad), ("check", bad),
+                 ("locus", bad, "--strategy", "ind-base"), ("prune", "objects", bad)]
+    for argv in argvs:
+        try:
+            code, _, err = run(capsys, *argv)
+        except SystemExit as exc:
+            assert exc.code == 64, argv
+            capsys.readouterr()
+            continue
+        assert code in (0, 1, 2, 65), argv
+        if code == 65:
+            assert re.search(r": at (\$|<json>|<file>)", err), err
