@@ -21,6 +21,14 @@ pivot columns ``piv``, and A2 becomes S = A2 - A2[:, piv] E by one
 :func:`matmul`.  Since E[:, piv] = I and S[:, piv] = 0, rank(A) =
 rank(E) + rank(S), and S is reduced the same way.  So the rank is exact
 because the product is.
+
+Reductions mod p cost more per entry than the arithmetic, so large ones
+go through :func:`reduce`, ``x - (x // p) * p`` on int64: numpy divides an
+array by a scalar with a multiplication and shifts, where ``np.mod`` issues
+a hardware division per entry.  Float products are cast to int64 (exact:
+they are integers below the mantissa bound) and reduced the same way, not
+by ``np.fmod``, which calls libm once per entry.  :func:`normalize` keeps
+``np.mod``: uint64 entries above 2^63 must be reduced before the cast.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ F64_EXACT = 2 ** 53 - 1
 MAX_P = math.isqrt(F64_EXACT) + 1
 # Rows per panel of :func:`rank`: one ``rref`` and one Schur product each.
 PANEL = 64
+# Entries from which :func:`reduce` pays for its two extra ufunc calls: both
+# routes cost the same near 1536 int64 entries (x86-64, numpy 2.4).
+REDUCE_MIN = 1536
 
 
 def normalize(a, p: int) -> np.ndarray:
@@ -47,6 +58,19 @@ def normalize(a, p: int) -> np.ndarray:
     if arr.size and arr.dtype.kind not in "iu":
         raise TypeError("expected integer entries, got dtype %s" % arr.dtype)
     return np.mod(arr, int(p)).astype(np.int64, copy=False)
+
+
+def reduce(x: np.ndarray, p: int, out=None) -> np.ndarray:
+    """``np.mod(x, p, out=out)`` for an int64 array ``x``, computed as
+    ``x - (x // p) * p`` from :data:`REDUCE_MIN` entries on, where that is
+    faster (half the time or less on large arrays).  It allocates one array
+    the size of ``x``.  A step may wrap in int64, but the result lies in
+    ``[0, p)``, so it is exact."""
+    if x.size < REDUCE_MIN:
+        return np.mod(x, p, out=out)
+    q = np.floor_divide(x, p)
+    q *= p
+    return np.subtract(x, q, out=q if out is None else out)
 
 
 def zeros(m: int, n: int) -> np.ndarray:
@@ -73,7 +97,8 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         raise ValueError("p=%d is above %d, the bound for exact products" % (p, MAX_P))
     # On small products the float route costs more than it saves.
     if n <= 1024 and m * n * k <= 16384:
-        return np.mod(a @ b, p)
+        c = a @ b
+        return reduce(c, p, out=c)
     q = (int(p) - 1) ** 2
     # float32 halves the float copies: float64 alone measured 11% more peak
     # RSS and 22% more wall time on funnel_deep (BENCH_2.json).
@@ -84,18 +109,18 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def _float_product(a: np.ndarray, b: np.ndarray, p: int, dtype, step: int) -> np.ndarray:
     """``a @ b`` mod p in ``dtype``, summing the inner dimension in blocks of
-    ``step``; exact when ``step * (p-1)^2`` is an exact integer of ``dtype``."""
+    ``step``; exact when ``step * (p-1)^2`` is an exact integer of ``dtype``.
+    Each block is cast to int64 and reduced; their sum stays below n * p."""
     af, bf = a.astype(dtype), b.astype(dtype)
     n = a.shape[1]
     if n <= step:
-        c = af @ bf
+        c = (af @ bf).astype(np.int64)
     else:
-        c = np.zeros((a.shape[0], b.shape[1]), dtype)
+        c = zeros(a.shape[0], b.shape[1])
         for lo in range(0, n, step):
-            block = af[:, lo:lo + step] @ bf[lo:lo + step]
-            c += np.fmod(block, p, out=block)
-            np.fmod(c, p, out=c)  # keeps c below 2p
-    return np.fmod(c, p, out=c).astype(np.int64)
+            block = (af[:, lo:lo + step] @ bf[lo:lo + step]).astype(np.int64)
+            c += reduce(block, p, out=block)
+    return reduce(c, p, out=c)
 
 
 def rref(a: np.ndarray, p: int):
@@ -105,7 +130,9 @@ def rref(a: np.ndarray, p: int):
     ``pivots`` the list of pivot column indices.  Entry dtype stays int64;
     pivots are normalized to 1.  Each pivot clears its column in one
     vectorised step over the rows with a nonzero there, on the columns from
-    the pivot on (the columns before it are zero in the pivot row).
+    the pivot on (the columns before it are zero in the pivot row): a gather
+    of those rows, or a slice when every other row is hit, then one
+    :func:`reduce` of the updated block.
     """
     m = np.mod(np.asarray(a, dtype=np.int64), p)
     nrows, ncols = m.shape
@@ -125,11 +152,19 @@ def rref(a: np.ndarray, p: int):
             pivot %= p
         m[row, col] = 0  # leaves the pivot row out of the hits
         hits = m[:, col].nonzero()[0]
-        m[row, col] = 1
-        if hits.size:
-            block = m[hits, col:]
-            block -= block[:, :1] * pivot
-            m[hits, col:] = np.mod(block, p, out=block)
+        if 0 < hits.size == nrows - 1:
+            # Every other row is hit: a slice replaces the gather and the
+            # scatter.  The factors are read while the pivot row's is 0.
+            f = m[:, col:col + 1].copy()
+            m[row, col] = 1
+            upd = np.subtract(m[:, col:], f * pivot)
+            m[:, col:] = reduce(upd, p, out=upd)
+        else:
+            m[row, col] = 1
+            if hits.size:
+                block = m[hits, col:]
+                block -= block[:, :1] * pivot
+                m[hits, col:] = reduce(block, p, out=block)
         pivots.append(col)
         row += 1
     return m, pivots
@@ -177,7 +212,8 @@ def _schur_update(a, work, e, live, cols, p):
     """``work - work[:, cols] @ e`` mod p, where ``e`` holds the reduced
     panel's nonzero rows on the columns ``live`` and ``cols`` its pivot
     columns.  Rows without a nonzero in ``cols`` are not touched."""
-    x = np.mod(work[:, cols], p)
+    x = work[:, cols]
+    reduce(x, p, out=x)
     hit = x.any(axis=1).nonzero()[0]
     if not hit.size:
         return work
@@ -197,11 +233,11 @@ def _schur_update(a, work, e, live, cols, p):
             seg = s[:, at:at + hi - lo]
             np.subtract(work[:, lo:hi], seg, out=seg)
             at += hi - lo
-        return np.mod(s, p, out=s)
+        return reduce(s, p, out=s)
     if np.may_share_memory(work, a):
-        work = np.mod(work, p)
+        work = reduce(work, p)
     s = matmul(x[hit], e_full, p)
-    work[hit] = np.mod(np.subtract(work[hit], s, out=s), p, out=s)
+    work[hit] = reduce(np.subtract(work[hit], s, out=s), p, out=s)
     return work
 
 
@@ -213,14 +249,21 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     if nrows == 0:
         return eye(ncols)
     red, pivots = rref(a, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = zeros(ncols, len(free))
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, j] = (-int(red[r, fc])) % p
-    return basis
+    return _kernel_rows(red, pivots, ncols, p)[0].T.copy()
+
+
+def _kernel_rows(r, pivots: list[int], n: int, p: int):
+    """``(k, free)`` for a reduced matrix ``r`` with ``n`` columns and pivot
+    columns ``pivots``: ``free`` lists the other columns F, and row j of
+    ``k`` is the unit vector at F[j] minus ``r[:, F[j]]`` on the pivot
+    coordinates, so the rows of ``k`` are a basis of ker(r)."""
+    piv = set(pivots)
+    free = [c for c in range(n) if c not in piv]
+    k = zeros(len(free), n)
+    k[range(len(free)), free] = 1
+    if pivots:
+        k[:, pivots] = np.mod(-r[: len(pivots), free].T, p)
+    return k, free
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int):
@@ -280,20 +323,16 @@ def quotient_presentation(w: np.ndarray, p: int):
     R[:, P] = I on the pivot coordinates P.  The section is the unit
     vectors at the free coordinates F, and proj = E_F - R[:, F]^T E_P
     (E_S picks the coordinates S): it is the identity on the section and
-    kills every row of R.  A projection is fixed by its kernel and a
+    kills every row of R; its rows are the basis of ker(R) that
+    :func:`nullspace` gives as columns.  A projection is fixed by its kernel and a
     section, and the reduced form of a row space is unique, so the result
     depends on col(w) alone.  w = 0 (no columns, say) needs no elimination.
     """
     n = w.shape[0]
     r, pivots = rref(w.T, p) if w.any() else (None, [])
-    piv = set(pivots)
-    free = [i for i in range(n) if i not in piv]
-    q = len(free)
-    section = zeros(n, q)
-    section[free, range(q)] = 1
-    proj = section.T.copy()
-    if pivots:
-        proj[:, pivots] = np.mod(-r[: len(pivots), free].T, p)
+    proj, free = _kernel_rows(r, pivots, n, p)
+    section = zeros(n, len(free))
+    section[free, range(len(free))] = 1
     return proj, section
 
 

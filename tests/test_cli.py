@@ -541,6 +541,12 @@ def _mutated_files(draw):
     return path, raw[:i] + bytes([draw(st.integers(0, 255))]) + raw[i + 1:]
 
 
+# Wall time allowed for one fuzz case, all of its commands together.  The
+# slowest of 600 cases measured took 9 ms (2 vCPU x86-64); a degree gap or a
+# kernel that has become slow should fail the case, not stretch the run.
+CASE_LIMIT_S = 1.0
+
+
 @given(_mutated_files())
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -548,6 +554,7 @@ def test_mutated_instances_end_in_a_verdict_or_a_clean_exit(capsys, tmp_path, ca
     source, data = case
     bad = tmp_path / "case.json"
     bad.write_bytes(data)
+    start = time.perf_counter()
     if source == FUNCTOR:
         argvs = [("kan", "res", FUNNEL, "--along", bad),
                  ("glossy", "right", FUNNEL, "--along", bad)]
@@ -564,3 +571,5 @@ def test_mutated_instances_end_in_a_verdict_or_a_clean_exit(capsys, tmp_path, ca
         assert code in (0, 1, 2, 65), argv
         if code == 65:
             assert re.search(r": at (\$|<json>|<file>)", err), err
+    elapsed = time.perf_counter() - start
+    assert elapsed < CASE_LIMIT_S, "%s took %.2f s" % (source.name, elapsed)

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from codescent import _modp
 
@@ -146,6 +146,50 @@ def test_rank_across_four_panels(p):
     assert _modp.rank(a.astype(np.int64), p) == want
 
 
+@pytest.mark.parametrize("p", PANEL_PRIMES)
+def test_dense_wide_panels_match_the_oracle(p):
+    # A nonzero first column makes the first pivot hit every other row, so
+    # rref clears it through a slice, and 63 x 119 entries are past
+    # REDUCE_MIN, so the floor-divide route reduces them.  At p >= 4099 most
+    # later pivots hit every row too; at p <= 7 they take the gather.
+    assert 63 * 119 >= _modp.REDUCE_MIN
+    rng = np.random.default_rng(p % 1009)
+    for shape in ((64, 120), (96, 120)):
+        a = rng.integers(0, p, size=shape)
+        a[:, 0] = rng.integers(1, p, size=shape[0])
+        want, want_pivots = oracles.row_reduce(a.tolist(), p)
+        r, pivots = _modp.rref(a, p)
+        assert pivots == want_pivots
+        assert r.tolist() == want
+        assert _modp.rank(a, p) == oracles.rank_of(a.tolist(), p)
+
+
+@given(st.sampled_from(PANEL_PRIMES + (65537,)),
+       st.sampled_from((0, 1, 2, 64)) | st.integers(_modp.REDUCE_MIN - 2, _modp.REDUCE_MIN + 1)
+       | st.just(5 * _modp.REDUCE_MIN + 3),
+       st.sampled_from((1, 2 ** 31, 2 ** 62)),
+       st.lists(st.integers(-(2 ** 62), 2 ** 62), max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_reduce_is_np_mod(p, size, scale, edges, seed):
+    rng = np.random.default_rng(seed)
+    bound = min(scale * p, 2 ** 62)
+    x = rng.integers(-bound, bound, size=size, dtype=np.int64)
+    x[:len(edges)] = edges[:size]
+    want = np.mod(x, p)
+    got = _modp.reduce(x, p)
+    assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+    y = x.copy()
+    assert _modp.reduce(y, p, out=y) is y
+    assert y.tobytes() == want.tobytes()
+    # A strided 2-d view reduced into itself; the entries around it stay.
+    m = np.zeros((2, size + 3), dtype=np.int64)
+    m[0, 3:] = x
+    view = m[:1, 3:]
+    _modp.reduce(view, p, out=view)
+    assert m[0, 3:].tobytes() == want.tobytes() and not m[1].any() and not m[0, :3].any()
+
+
 @pytest.mark.parametrize("m, n, density", [(369, 306, 0.3), (390, 780, 0.003)],
                          ids=["dense", "sparse"])
 def test_rank_allocates_at_most_two_and_a_half_inputs(m, n, density):
@@ -169,6 +213,41 @@ def test_nullspace_spans_kernel(mp):
     if ns.size:
         assert not _modp.matmul(a, ns, p).any()
     assert _modp.rank(ns, p) == ns.shape[1]
+
+
+def _nullspace_by_loop(a, p):
+    """The kernel basis as it was filled before: one entry at a time."""
+    nrows, ncols = a.shape
+    if ncols == 0:
+        return _modp.zeros(0, 0)
+    if nrows == 0:
+        return _modp.eye(ncols)
+    red, pivots = _modp.rref(a, p)
+    free = [c for c in range(ncols) if c not in set(pivots)]
+    basis = _modp.zeros(ncols, len(free))
+    for j, fc in enumerate(free):
+        basis[fc, j] = 1
+        for r, pc in enumerate(pivots):
+            basis[pc, j] = (-int(red[r, fc])) % p
+    return basis
+
+
+@pytest.mark.parametrize("p", PANEL_PRIMES)
+def test_nullspace_is_the_entrywise_fill(p):
+    rng = np.random.default_rng(p % 997)
+    for i in range(40):
+        m, n = (int(v) for v in rng.integers(0, 30, size=2))
+        a = rng.integers(0, p, size=(m, n))
+        if i % 4 == 1:
+            a *= rng.random((m, n)) < 0.1
+        elif i % 4 == 2 and m and n:
+            a = _modp.matmul(a[:, :2], rng.integers(0, p, size=(min(n, 2), n)), p)
+        elif i % 4 == 3:
+            a[:, rng.random(n) < 0.5] = 0
+        a = np.asarray(a, dtype=np.int64)
+        got, want = _modp.nullspace(a, p), _nullspace_by_loop(a, p)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @given(matrices(), st.integers(0, 6))
@@ -276,6 +355,7 @@ def _python_int_product(a, b, p):
 
 
 @given(products())
+@example((np.full((1, 1025), 94906248), np.full((1025, 1), 94906248), 94906249))
 @settings(max_examples=200, deadline=None)
 def test_matmul_equals_python_int_product(abp):
     a, b, p = abp
