@@ -47,6 +47,8 @@ PANEL = 64
 # Entries from which :func:`reduce` pays for its two extra ufunc calls: both
 # routes cost the same near 1536 int64 entries (x86-64, numpy 2.4).
 REDUCE_MIN = 1536
+# Entries per block of a large :func:`reduce` (256 KiB of int64).
+REDUCE_BLOCK = 32768
 
 
 def normalize(a, p: int) -> np.ndarray:
@@ -63,11 +65,20 @@ def normalize(a, p: int) -> np.ndarray:
 def reduce(x: np.ndarray, p: int, out=None) -> np.ndarray:
     """``np.mod(x, p, out=out)`` for an int64 array ``x``, computed as
     ``x - (x // p) * p`` from :data:`REDUCE_MIN` entries on, where that is
-    faster (half the time or less on large arrays).  It allocates one array
-    the size of ``x``.  A step may wrap in int64, but the result lies in
+    faster (half the time or less on large arrays).  Past
+    :data:`REDUCE_BLOCK` entries it runs over blocks of leading rows, so its
+    buffer for ``(x // p) * p`` holds one block (or one row), never a second
+    copy of a large ``x``.  A step may wrap in int64, but the result lies in
     ``[0, p)``, so it is exact."""
     if x.size < REDUCE_MIN:
         return np.mod(x, p, out=out)
+    rows = max(1, REDUCE_BLOCK * len(x) // x.size)
+    if rows < len(x):
+        if out is None:
+            out = np.empty_like(x)
+        for lo in range(0, len(x), rows):
+            reduce(x[lo:lo + rows], p, out=out[lo:lo + rows])
+        return out
     q = np.floor_divide(x, p)
     q *= p
     return np.subtract(x, q, out=q if out is None else out)
@@ -118,8 +129,7 @@ def _float_product(a: np.ndarray, b: np.ndarray, p: int, dtype, step: int) -> np
     else:
         c = zeros(a.shape[0], b.shape[1])
         for lo in range(0, n, step):
-            block = (af[:, lo:lo + step] @ bf[lo:lo + step]).astype(np.int64)
-            c += reduce(block, p, out=block)
+            c += reduce((af[:, lo:lo + step] @ bf[lo:lo + step]).astype(np.int64), p)
     return reduce(c, p, out=c)
 
 
@@ -130,9 +140,9 @@ def rref(a: np.ndarray, p: int):
     ``pivots`` the list of pivot column indices.  Entry dtype stays int64;
     pivots are normalized to 1.  Each pivot clears its column in one
     vectorised step over the rows with a nonzero there, on the columns from
-    the pivot on (the columns before it are zero in the pivot row): a gather
-    of those rows, or a slice when every other row is hit, then one
-    :func:`reduce` of the updated block.
+    the pivot on (the columns before it are zero in the pivot row), and the
+    updated block is reduced by :func:`reduce`.  The entries are reduced
+    once on entry by ``np.mod``, which makes a copy of ``a`` anyway.
     """
     m = np.mod(np.asarray(a, dtype=np.int64), p)
     nrows, ncols = m.shape
@@ -152,19 +162,11 @@ def rref(a: np.ndarray, p: int):
             pivot %= p
         m[row, col] = 0  # leaves the pivot row out of the hits
         hits = m[:, col].nonzero()[0]
-        if 0 < hits.size == nrows - 1:
-            # Every other row is hit: a slice replaces the gather and the
-            # scatter.  The factors are read while the pivot row's is 0.
-            f = m[:, col:col + 1].copy()
-            m[row, col] = 1
-            upd = np.subtract(m[:, col:], f * pivot)
-            m[:, col:] = reduce(upd, p, out=upd)
-        else:
-            m[row, col] = 1
-            if hits.size:
-                block = m[hits, col:]
-                block -= block[:, :1] * pivot
-                m[hits, col:] = reduce(block, p, out=block)
+        m[row, col] = 1
+        if hits.size:
+            block = m[hits, col:]
+            block -= block[:, :1] * pivot
+            m[hits, col:] = reduce(block, p, out=block)
         pivots.append(col)
         row += 1
     return m, pivots

@@ -148,10 +148,9 @@ def test_rank_across_four_panels(p):
 
 @pytest.mark.parametrize("p", PANEL_PRIMES)
 def test_dense_wide_panels_match_the_oracle(p):
-    # A nonzero first column makes the first pivot hit every other row, so
-    # rref clears it through a slice, and 63 x 119 entries are past
-    # REDUCE_MIN, so the floor-divide route reduces them.  At p >= 4099 most
-    # later pivots hit every row too; at p <= 7 they take the gather.
+    # A nonzero first column makes the first pivot hit every other row, and
+    # its 63 x 119 updated entries are past REDUCE_MIN, so the floor-divide
+    # route reduces them.  At p >= 4099 most later pivots hit every row too.
     assert 63 * 119 >= _modp.REDUCE_MIN
     rng = np.random.default_rng(p % 1009)
     for shape in ((64, 120), (96, 120)):
@@ -166,7 +165,7 @@ def test_dense_wide_panels_match_the_oracle(p):
 
 @given(st.sampled_from(PANEL_PRIMES + (65537,)),
        st.sampled_from((0, 1, 2, 64)) | st.integers(_modp.REDUCE_MIN - 2, _modp.REDUCE_MIN + 1)
-       | st.just(5 * _modp.REDUCE_MIN + 3),
+       | st.sampled_from((5 * _modp.REDUCE_MIN + 3, 2 * _modp.REDUCE_BLOCK + 5)),
        st.sampled_from((1, 2 ** 31, 2 ** 62)),
        st.lists(st.integers(-(2 ** 62), 2 ** 62), max_size=8),
        st.integers(0, 2 ** 32 - 1))
@@ -188,6 +187,30 @@ def test_reduce_is_np_mod(p, size, scale, edges, seed):
     view = m[:1, 3:]
     _modp.reduce(view, p, out=view)
     assert m[0, 3:].tobytes() == want.tobytes() and not m[1].any() and not m[0, :3].any()
+
+
+@pytest.mark.parametrize("shape", [(100, 700), (3, 20000), (1, 70000)])
+def test_reduce_runs_over_blocks_of_rows(shape):
+    # (100, 700) splits into blocks of 46 rows, the last one short; a row of
+    # (3, 20000) is a block of its own.  The transpose is a strided input.
+    p = 4099
+    x = np.random.default_rng(shape[1]).integers(-(2 ** 62), 2 ** 62, size=shape)
+    for a in (x, x.T):
+        want = np.mod(a, p)
+        assert _modp.reduce(a, p).tolist() == want.tolist()
+        y = a.copy()
+        assert _modp.reduce(y, p, out=y) is y and y.tolist() == want.tolist()
+
+
+def test_reduce_in_place_allocates_one_block():
+    x = np.random.default_rng(5).integers(-(2 ** 62), 2 ** 62, size=(400, 700))
+    tracemalloc.start()
+    try:
+        _modp.reduce(x, 3, out=x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * _modp.REDUCE_BLOCK < x.nbytes / 4
 
 
 @pytest.mark.parametrize("m, n, density", [(369, 306, 0.3), (390, 780, 0.003)],
