@@ -52,7 +52,7 @@ from .fincat import (
     CatPair, CategoryError, FinCat, FunctorData, make_category, make_functor,
 )
 from .diagrams import Diagram, NotNatural, make_diagram, restrict_along
-from .codescent import _bounds, codescent_at, codescent_locus
+from .codescent import _verdicts, codescent_at, codescent_locus
 from .diagrams import glossy_formula_check, left_kan, right_kan
 from .fincat import glossy as glossy_decide
 from . import selftest as selftest_mod
@@ -504,9 +504,9 @@ def _cmd_check(args) -> int:
         verdict = codescent_at(inst.diagram, inst.pair, focus)
         meta = {"strategy": strategy, "cutoff": None, "exact_through": None}
     else:
-        verdict = codescent_at(inst.diagram, inst.pair, focus, strategy, cutoff)
-        used, through = _bounds(inst.diagram, inst.pair, strategy, cutoff)
-        meta = {"strategy": strategy, "cutoff": used,
+        res, found = _verdicts(inst.diagram, inst.pair, [focus], strategy, cutoff)
+        verdict, through = found[focus], res.exact_through
+        meta = {"strategy": strategy, "cutoff": res.cutoff,
                 "exact_through": None if through is math.inf else int(through)}
     if args.format == "json":
         sys.stdout.write(to_json({"object": focus, "verdict": verdict.as_dict(),

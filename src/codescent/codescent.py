@@ -24,10 +24,16 @@ Two strategies compute the resolution:
 * ``ind-base``: resolve the restriction to D first (identity when the
   full subcategory on D is discrete - over a field every single complex
   is already resolvent - otherwise the bar construction over (D, D)),
-  then extend along the inclusion by objectwise colimits.  A verdict at c
-  builds only the colimit over (D | c) and xi_c, over an inner resolution
-  built through exact_through + 1; ``ind_base_approximation`` builds the
-  whole left Kan extension.
+  then extend along the inclusion by objectwise colimits
+  (``ind_base_approximation`` builds the whole left Kan extension).  For
+  the bar base the colimit over (D | c) is the bar complex QX(c) cell for
+  cell: it identifies (string, lam, beta) with (string, beta o lam), by
+  co-Yoneda (Mac Lane, CWM X.4); for the identity base both are the sum
+  of X(d) over the morphisms d -> c.  So a verdict at c scans the bar
+  QX(c) and xi_c, built through exact_through + 1, for either strategy.
+  Ind-base takes the cutoff and exact_through from its inner resolution
+  over (D, D): the default cutoff and the lo in N + lo - 1 are those of X
+  restricted to D.
 
 Verdicts: ``holds`` and ``fails`` are only emitted from exact data (a
 directed pair, or a failure witnessed inside the trustworthy degree
@@ -54,8 +60,8 @@ from .fincat import (
     inclusion_functor, is_full_subcategory,
 )
 from .diagrams import (
-    Diagram, NatTrans, left_kan, left_kan_at, left_mate, left_transpose_at,
-    make_diagram, make_nat, restrict_along, solve_nat_lifting_zero,
+    Diagram, NatTrans, left_kan, left_mate, make_diagram, make_nat,
+    restrict_along, solve_nat_lifting_zero,
 )
 
 
@@ -321,10 +327,10 @@ def _bar_comparison(lay: _BarLayout, c: str, qx_c: ChainComplex) -> ChainMap:
     return ChainMap(qx_c, x.at[c], comps)
 
 
-def _bar_diagram(lay: _BarLayout, top: int | None = None) -> tuple[Diagram, NatTrans]:
-    """QX and xi : QX -> X through total degree ``top`` (all when None)."""
+def _bar_diagram(lay: _BarLayout) -> tuple[Diagram, NatTrans]:
+    """QX and xi : QX -> X."""
     cat = lay.cat
-    at = {c: _bar_complex(lay, c, top) for c in cat.objects}
+    at = {c: _bar_complex(lay, c) for c in cat.objects}
     on: dict[str, ChainMap] = {}
     for g, (c1, c2) in cat.mor.items():
         blocks, _, offsets = lay.at(c1)
@@ -380,7 +386,8 @@ class _IndBase:
     """The layout pass of the ind-base strategy: the inclusion of full(D)
     into C, and the cutoff and exact_through of the inner bar resolution
     over (D, D), unless full(D) is discrete (the exact identity base).
-    :meth:`inner` builds the inner diagram and zeta : inner -> X|D."""
+    Verdicts read only these bounds; :meth:`inner` builds the inner
+    diagram and zeta : inner -> X|D for the full approximation."""
 
     strategy = "ind-base"
 
@@ -411,11 +418,11 @@ class _IndBase:
             (True, None, math.inf, None) if lay is None
             else (lay.directed, lay.cutoff, lay.exact_through, lay.top))
 
-    def inner(self, top: int | None = None):
-        """The inner diagram and the components of zeta, through degree ``top``."""
+    def inner(self):
+        """The inner diagram and the components of zeta."""
         if self.lay is None:
             return self.res_x, {d: identity_map(self.res_x.at[d]) for d in self.sub.objects}
-        qx, zeta = _bar_diagram(self.lay, top)
+        qx, zeta = _bar_diagram(self.lay)
         return qx, zeta.comps
 
 
@@ -432,10 +439,12 @@ def ind_base_approximation(x: Diagram, pair: CatPair, base: str = "auto",
     the discrete case.  A non-full ``sub`` is rejected: the construction
     extends along a full inclusion.
 
-    Verdicts build only the colimit at c and xi_c, over an inner
-    resolution cut at exact_through + 1 (:func:`_verdicts`); this full
-    build, the whole left Kan extension with its structure maps, serves
-    :func:`approximate`.
+    The value at c is the bar complex QX(c) up to the colimit's choice of
+    basis (see the module docstring), so verdicts scan that complex, cut
+    at exact_through + 1, with this strategy's cutoff and exact_through
+    (:func:`_verdicts`).  This full build, the whole left Kan extension
+    with its structure maps, serves :func:`approximate`, and the tests
+    compare verdicts against it.
     """
     res = _IndBase(x, pair, base, cutoff, sub)
     cat = pair.cat
@@ -459,7 +468,7 @@ def approximate(x: Diagram, pair: CatPair, strategy: str = "bar",
                 cutoff: int | None = None) -> Approximation:
     if strategy == "bar":
         return bar_approximation(x, pair, cutoff=cutoff)
-    if strategy in ("ind-base", "ind_base"):
+    if strategy == "ind-base":
         return ind_base_approximation(x, pair, base="auto", cutoff=cutoff)
     raise BadShapeParams("strategy must be 'bar' or 'ind-base'")
 
@@ -477,30 +486,23 @@ def _verdicts(x: Diagram, pair: CatPair, objects, strategy: str, cutoff: int | N
     """The layout pass, and the verdicts at ``objects`` outside D.  Each
     verdict builds only xi_c : QX(c) -> X(c), through degree exact_through
     + 1 (the scan reads d_{through + 1} and nothing higher), and scans it
-    at once: bar builds QX(c), ind-base the colimit at c of an inner
-    resolution built through the same degree."""
-    if strategy == "bar":
-        res = _BarLayout(x, pair, cutoff)
-        xis = (_bar_comparison(res, c, _bar_complex(res, c, res.top)) for c in objects)
-    elif strategy in ("ind-base", "ind_base"):
-        res = _IndBase(x, pair, cutoff=cutoff)
-        inner, zeta = res.inner(res.top)
+    at once.
 
-        def xi_at(c):
-            cm, colim = left_kan_at(res.incl, inner, c)
-            return (zero_map(zero_complex(x.prime), x.at[c]) if colim is None
-                    else left_transpose_at(cm, colim, x, zeta))
-        xis = map(xi_at, objects)
+    Both strategies scan the bar complex QX(c): the ind-base colimit at c
+    of the inner bar resolution is that complex cell for cell, since the
+    colimit over (D | c) identifies (string, lam, beta) with (string,
+    beta o lam) (co-Yoneda).  Ind-base takes the cutoff, and so the
+    string lengths, from its inner layout over X|D, and ``top`` and
+    ``exact_through`` too: those read lo of X|D, not of X."""
+    if strategy == "bar":
+        res = lay = _BarLayout(x, pair, cutoff)
+    elif strategy == "ind-base":
+        res = _IndBase(x, pair, cutoff=cutoff)
+        lay = _BarLayout(x, pair, res.cutoff)
     else:
         raise BadShapeParams("strategy must be 'bar' or 'ind-base'")
-    return res, {c: _verdict_for_map(f, res.exact_through) for c, f in zip(objects, xis)}
-
-
-def _bounds(x: Diagram, pair: CatPair, strategy: str, cutoff: int | None):
-    """(cutoff, exact_through) of the resolution ``strategy`` builds, from
-    the layout pass alone."""
-    lay = _BarLayout(x, pair, cutoff) if strategy == "bar" else _IndBase(x, pair, cutoff=cutoff)
-    return lay.cutoff, lay.exact_through
+    return res, {c: _verdict_for_map(_bar_comparison(lay, c, _bar_complex(lay, c, res.top)),
+                                     res.exact_through) for c in objects}
 
 
 def codescent_at(x: Diagram, pair: CatPair, c: str, strategy: str = "bar",

@@ -276,28 +276,14 @@ def _comma_values(cm: CommaCat, y: Diagram):
     return at, on
 
 
-def left_kan_at(phi: FunctorData, y: Diagram, c: str) -> tuple[CommaCat, Colimit | None]:
-    """The comma category (a, beta : Phi(a) -> c) and the colimit of Y over
-    it: the value of the left Kan extension at c alone (None when the
-    comma category is empty and the value is zero)."""
-    cm = comma(phi, c, "into")
-    if not cm.cat.objects:
-        return cm, None
-    return cm, finite_colimit(cm.cat, *_comma_values(cm, y))
-
-
-def left_transpose_at(cm: CommaCat, colim: Colimit, x: Diagram, eta: dict) -> ChainMap:
-    """The map out of the colimit over ``cm`` into X(c), c = ``cm.base``,
-    induced by the legs X(beta) o eta_a: the component at c of the mate
-    of eta : Y -> restrict(X) across (left extension, restriction)."""
-    legs = {o: compose(x.on[beta], eta[a]) for o, (a, beta) in cm.obj_data.items()}
-    return colim.induced(legs, x.at[cm.base])
-
-
 def left_mate(lk: LeftKan, x: Diagram, eta: dict) -> dict[str, ChainMap]:
-    """The components of that mate, extension(Y) -> X, at every object."""
-    return {c: left_transpose_at(lk.commas[c], lk.colimits[c], x, eta) if c in lk.colimits
-            else zero_map(lk.diagram.at[c], x.at[c]) for c in lk.diagram.cat.objects}
+    """The components of the mate extension(Y) -> X of eta : Y -> restrict(X)
+    across (left extension, restriction), induced by the legs X(beta) o eta_a."""
+    def at(c):
+        legs = {o: compose(x.on[beta], eta[a]) for o, (a, beta) in lk.commas[c].obj_data.items()}
+        return lk.colimits[c].induced(legs, x.at[c])
+    return {c: at(c) if c in lk.colimits else zero_map(lk.diagram.at[c], x.at[c])
+            for c in lk.diagram.cat.objects}
 
 
 def right_mate(rk: RightKan, x: Diagram, eta: dict) -> dict[str, ChainMap]:
@@ -311,8 +297,6 @@ def right_mate(rk: RightKan, x: Diagram, eta: dict) -> dict[str, ChainMap]:
 
 
 def left_kan(phi: FunctorData, y: Diagram) -> LeftKan:
-    """:func:`left_kan_at` at every object of the target, with the structure
-    maps between the colimits and the unit; a verdict needs one object."""
     if y.cat != phi.source:
         raise NotAFunctor("diagram does not live on the functor's source")
     p = y.prime if y.at else 2
@@ -320,12 +304,12 @@ def left_kan(phi: FunctorData, y: Diagram) -> LeftKan:
     colimits: dict[str, Colimit] = {}
     at: dict[str, ChainComplex] = {}
     for c in phi.target.objects:
-        commas[c], colim = left_kan_at(phi, y, c)
-        if colim is None:
-            at[c] = zero_complex(p)
+        cm = commas[c] = comma(phi, c, "into")
+        if cm.cat.objects:
+            colimits[c] = finite_colimit(cm.cat, *_comma_values(cm, y))
+            at[c] = colimits[c].complex
         else:
-            colimits[c] = colim
-            at[c] = colim.complex
+            at[c] = zero_complex(p)
 
     on: dict[str, ChainMap] = {}
     for g, (c1, c2) in phi.target.mor.items():

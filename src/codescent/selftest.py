@@ -349,9 +349,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CheckResult:
         # per-object closed forms: wings at the corners, fold at the tip
         w1 = first_homology_failure(x.on["alpha1"])
         w2 = first_homology_failure(x.on["alpha2"])
-        twice, injs, _ = direct_sum([x.at["e"], x.at["e"]])
-        fold = direct_sum_maps([x.on["gamma1"], x.on["gamma2"]], twice,
-                               direct_sum([x.at["c"], x.at["c"]])[0])
+        twice = direct_sum([x.at["e"], x.at["e"]])[0]
         comps = {}
         for n in twice.degrees():
             if x.at["c"].dim(n) == 0:

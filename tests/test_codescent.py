@@ -1,12 +1,14 @@
 import contextlib
 import math
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import codescent.codescent as cmod
+from codescent import chaincx, fincat
 from codescent import (
     BadShapeParams,
     CatPair,
@@ -30,6 +32,7 @@ from codescent import (
     ind_base_approximation,
     is_directed_pair,
     is_quasi_iso,
+    make_complex,
     make_diagram,
     make_map,
     oracle_criterion,
@@ -56,6 +59,17 @@ def z2_funnel_s0():
     s = sphere(2, 0)
     x = make_diagram(pair.cat, {"d": s, "c": s},
                      {"m1": identity_map(s), "a0": identity_map(s)})
+    return pair, x
+
+
+def z2_funnel_acyclic_tail():
+    """X(c) = S^0 (+) a disk in degrees -2, -1: lo(X) = -2 but lo(X|D) = 0."""
+    pair = funnel_monoid(k=2)
+    s = sphere(2, 0)
+    one = np.ones((1, 1), dtype=np.int64)
+    xc = make_complex(2, {-2: 1, -1: 1, 0: 1}, {-1: one})
+    x = make_diagram(pair.cat, {"d": s, "c": xc},
+                     {"m1": identity_map(s), "a0": make_map(s, xc, {0: one})})
     return pair, x
 
 
@@ -257,20 +271,20 @@ def _case_diagram(draw, pair):
 
 
 def _assert_verdicts_read_the_full_build(x, pair, cutoff, strategy, full):
-    """At every c outside D the verdict path scans the full build's xi_c cut
-    above exact_through + 1, and its verdict is the full build's and the
-    locus's; returns the locus report."""
+    """At every c outside D the verdict path scans a complex with the dims
+    of the full build's value at c cut above exact_through + 1, and its
+    verdict is the full build's and the locus's.  Returns the locus report
+    and, by c, the scanned xi_c with the full build's xi_c cut there."""
     top = full.exact_through + 1
     report = codescent_locus(x, pair, strategy, cutoff)
+    scanned = {}
     for c in pair.complement:
         v, xi_c = _verdict_build(x, pair, c, cutoff, strategy)
-        want = _below(full.xi.comps[c], top)
-        assert xi_c.source == want.source
-        assert xi_c.source.diff.keys() == want.source.diff.keys()
-        assert xi_c == want
+        scanned[c] = xi_c, _below(full.xi.comps[c], top)
+        assert xi_c.source.dims == scanned[c][1].source.dims
         assert v == report.verdicts[c] == _verdict_for_map(full.xi.comps[c],
                                                            full.exact_through)
-    return report
+    return report, scanned
 
 
 @st.composite
@@ -306,16 +320,23 @@ def ind_base_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_verdict_path_builds_the_full_build_through_exact_through_plus_one(case):
     pair, x, cutoff = case
-    _assert_verdicts_read_the_full_build(x, pair, cutoff, "bar",
-                                         bar_approximation(x, pair, cutoff=cutoff))
+    _, scanned = _assert_verdicts_read_the_full_build(
+        x, pair, cutoff, "bar", bar_approximation(x, pair, cutoff=cutoff))
+    for xi_c, want in scanned.values():
+        assert xi_c.source == want.source
+        assert xi_c.source.diff.keys() == want.source.diff.keys()
+        assert xi_c == want
 
 
 @given(ind_base_cases())
+@example((*z2_funnel_acyclic_tail(), 3))  # the bounds read X|D, not X
 @settings(max_examples=60, deadline=None)
 def test_ind_base_verdict_path_builds_the_full_build_through_exact_through_plus_one(case):
+    # the verdict scans the bar QX(c); the full build's colimit at c is
+    # that complex in another basis, so dims and verdicts must agree
     pair, x, cutoff = case
     full = ind_base_approximation(x, pair, cutoff=cutoff)
-    report = _assert_verdicts_read_the_full_build(x, pair, cutoff, "ind-base", full)
+    report, _ = _assert_verdicts_read_the_full_build(x, pair, cutoff, "ind-base", full)
     if is_directed_pair(pair) and full.exact_through is math.inf:
         assert report.verdicts == codescent_locus(x, pair, "bar").verdicts
 
@@ -335,24 +356,30 @@ def test_verdict_path_builds_nothing_above_exact_through_plus_one():
 
 
 def test_ind_base_verdict_path_builds_nothing_above_exact_through_plus_one():
-    # the same X: the inner bar resolution over (D, D) at cutoff 3 reaches
-    # degree 5, the verdict path's stops at 3, and so does the colimit at c
+    # the same X: the full build's colimit at c reaches degree 5, the QX(c)
+    # an ind-base verdict scans stops at 3
     pair = funnel_monoid(k=2)
     x = constant_diagram(pair.cat, ChainComplex(2, {0: 1, 2: 1}, {}))
-    inner, build = [], cmod._bar_diagram
-
-    def record(lay, top=None):
-        inner.append(build(lay, top))
-        return inner[-1]
-
-    with mock.patch.object(cmod, "_bar_diagram", record):
-        v, xi_c = _verdict_build(x, pair, "c", 3, "ind-base")
-        full = ind_base_approximation(x, pair, cutoff=3)
-    (capped, _), (whole, _) = inner
+    v, xi_c = _verdict_build(x, pair, "c", 3, "ind-base")
+    full = ind_base_approximation(x, pair, cutoff=3)
     assert full.exact_through == 2
-    assert max(whole.at["d"].dims) == max(full.diagram.at["c"].dims) == 5
-    assert max(capped.at["d"].dims) == max(xi_c.source.dims) == 3
+    assert max(full.diagram.at["c"].dims) == 5
+    assert max(xi_c.source.dims) == 3
     assert (v.status, v.degree) == ("fails", 1)
+
+
+def test_ind_base_verdicts_build_no_comma_category_and_no_colimit():
+    pair = funnel_monoid(k=3)
+    x = constant_diagram(pair.cat, sphere(3, 0))
+    builders = (chaincx.finite_colimit, fincat.comma)
+    with contextlib.ExitStack() as stack:
+        for mod in [m for n, m in sys.modules.items() if n.startswith("codescent")]:
+            for attr, value in list(vars(mod).items()):
+                if any(value is b for b in builders):
+                    stack.enter_context(mock.patch.object(mod, attr, side_effect=AssertionError))
+        report = codescent_locus(x, pair, "ind-base", 3)
+    assert report.verdicts == codescent_locus(x, pair, "bar", 3).verdicts
+    assert report.failures == ("c",)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The conftest hook that re-validates the package's own constructions."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -11,7 +12,7 @@ from codescent import (
     restrict_to_subset, sphere, zero_complex, zero_map,
 )
 from codescent._modp import zeros
-from codescent.diagrams import Diagram, NatTrans
+from codescent.diagrams import Diagram, NatTrans, _comma_values
 from codescent.selftest import constant_diagram
 
 
@@ -92,22 +93,25 @@ def test_the_hook_rejects_planted_bar_verdict_faults(revalidation):
             ChainMap(disk, sphere(2, 0), {0: np.ones((1, 1), dtype=np.int64)}))
 
 
-def test_the_hook_rejects_planted_ind_base_verdict_faults(revalidation):
-    # the colimit at c, xi_c and the truncated inner resolution that an
-    # ind-base verdict builds without the full left Kan extension
+def test_the_hook_rejects_planted_ind_base_approximation_faults(revalidation):
+    # the comma colimits, the left Kan extension and the inner resolution
+    # that the full ind-base approximation builds
     square = build_shape("commutative_square")
     s = sphere(2, 0)
     x = constant_diagram(square.cat, s)
     y, incl = restrict_to_subset(x, square.d_objects)
-    cm, colim = revalidation.wrappers["left_kan_at"].__wrapped__(incl, y, "c")
+    lk = revalidation.wrappers["left_kan"].__wrapped__(incl, y)
+    unit = lk.unit
+    # unit_d1 o Y(alpha1) = injection != 0 = res(Lan)(alpha1) o unit_e
+    bad_unit = NatTrans(unit.source, unit.target,
+                        {**unit.comps, "e": zero_map(s, unit.target.at["e"])})
+    with pytest.raises(NotNatural):
+        revalidation.checks["left_kan"](dataclasses.replace(lk, unit=bad_unit), incl, y)
+
+    cm, colim = lk.commas["c"], lk.colimits["c"]
     colim.injections[cm.cat.objects[0]] = zero_map(s, colim.complex)
     with pytest.raises(NonCommutingSquare):
-        revalidation.checks["left_kan_at"]((cm, colim), incl, y, "c")
-
-    disk = ChainComplex(2, {0: 1, 1: 1}, {1: np.ones((1, 1), dtype=np.int64)})
-    with pytest.raises(ChainError):
-        revalidation.checks["left_transpose_at"](
-            ChainMap(disk, s, {0: np.ones((1, 1), dtype=np.int64)}))
+        revalidation.checks["finite_colimit"](colim, cm.cat, *_comma_values(cm, y))
 
     arrow = build_shape("arrow")
     x = constant_diagram(arrow.cat, s)
