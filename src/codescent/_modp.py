@@ -22,6 +22,23 @@ pivot columns ``piv``, and A2 becomes S = A2 - A2[:, piv] E by one
 rank(E) + rank(S), and S is reduced the same way.  So the rank is exact
 because the product is.
 
+Below a size the same paper switches to a base case, and so do
+:func:`rref` and :func:`rank`: a matrix of at most :data:`SMALL` entries
+(panels of :func:`rank` included, through :func:`rref`) is reduced on
+lists of Python ints by :func:`_small_rref`.  That route is exact because
+Python ints do not overflow, and its result is the numpy route's, since
+the reduced form of a row space is unique.  On tiny matrices the numpy
+loop pays about ten numpy calls per pivot, which costs more than the
+arithmetic.  SMALL was set from ``rref`` timings of random matrices on
+both routes (2 vCPU x86-64, numpy 2.4, minimum of 5 runs): over F_3 the
+routes cost the same near 200 entries on dense matrices (dense 16 x 16:
+numpy 216 us, Python 288 us), and at 30% nonzeros near 400 (16 x 16: 188
+against 166 us; at 10% nonzeros 102 against 48 us).  Dense matrices at p
+= 94906249 cross over lower, near 64 entries, but differentials are
+sparse.  The ``rank`` calls of one pass of the ``campaign_small``
+benchmark, replayed at SMALL from 192 to 512, took the same time, 41-42
+ms (112 ms on the numpy route alone).
+
 Reductions mod p cost more per entry than the arithmetic, so large ones
 go through :func:`reduce`, ``x - (x // p) * p`` on int64: numpy divides an
 array by a scalar with a multiplication and shifts, where ``np.mod`` issues
@@ -44,6 +61,9 @@ F64_EXACT = 2 ** 53 - 1
 MAX_P = math.isqrt(F64_EXACT) + 1
 # Rows per panel of :func:`rank`: one ``rref`` and one Schur product each.
 PANEL = 64
+# Entries up to which :func:`rref` and :func:`rank` reduce on Python ints
+# (:func:`_small_rref`); the module docstring gives the measurements.
+SMALL = 256
 # Entries from which :func:`reduce` pays for its two extra ufunc calls: both
 # routes cost the same near 1536 int64 entries (x86-64, numpy 2.4).
 REDUCE_MIN = 1536
@@ -138,13 +158,19 @@ def rref(a: np.ndarray, p: int):
 
     Returns ``(r, pivots)`` where ``r`` is the reduced matrix and
     ``pivots`` the list of pivot column indices.  Entry dtype stays int64;
-    pivots are normalized to 1.  Each pivot clears its column in one
-    vectorised step over the rows with a nonzero there, on the columns from
-    the pivot on (the columns before it are zero in the pivot row), and the
-    updated block is reduced by :func:`reduce`.  The entries are reduced
-    once on entry by ``np.mod``, which makes a copy of ``a`` anyway.
+    pivots are normalized to 1.  The entries are reduced once on entry by
+    ``np.mod``, which makes a copy of ``a`` anyway.  A matrix of at most
+    :data:`SMALL` entries is reduced on Python ints by :func:`_small_rref`.
+    Otherwise each pivot clears its column in one vectorised step over the
+    rows with a nonzero there, on the columns from the pivot on (the
+    columns before it are zero in the pivot row), and the updated block is
+    reduced by :func:`reduce`.  Both routes give the same matrix: the
+    reduced form of a row space is unique.
     """
     m = np.mod(np.asarray(a, dtype=np.int64), p)
+    if m.size <= SMALL:
+        rows, pivots = _small_rref(m.tolist(), p)
+        return np.array(rows, dtype=np.int64).reshape(m.shape), pivots
     nrows, ncols = m.shape
     pivots: list[int] = []
     row = 0
@@ -172,6 +198,37 @@ def rref(a: np.ndarray, p: int):
     return m, pivots
 
 
+def _small_rref(rows: list[list[int]], p: int):
+    """:func:`rref` of a list of rows of Python ints in ``[0, p)``, reduced
+    in place; returns ``(rows, pivots)``.  Each pivot row is scaled to a
+    leading 1, and every other row with a nonzero in the pivot column
+    subtracts a multiple of it, on the columns from the pivot on."""
+    pivots: list[int] = []
+    ncols = len(rows[0]) if rows else 0
+    row = 0
+    for col in range(ncols):
+        if row == len(rows):
+            break
+        for i in range(row, len(rows)):
+            if rows[i][col]:
+                break
+        else:
+            continue
+        rows[row], rows[i] = rows[i], rows[row]
+        head = rows[row]
+        inv = pow(head[col], -1, p)
+        if inv != 1:
+            head[col:] = [v * inv % p for v in head[col:]]
+        tail = head[col:]
+        for other in rows:
+            f = other[col]
+            if f and other is not head:
+                other[col:] = [(v - f * t) % p for v, t in zip(other[col:], tail)]
+        pivots.append(col)
+        row += 1
+    return rows, pivots
+
+
 def rank(a: np.ndarray, p: int) -> int:
     """Rank of ``a`` over F_p, by row panels of :data:`PANEL` rows.
 
@@ -181,9 +238,14 @@ def rank(a: np.ndarray, p: int) -> int:
     span the row space of ``a``, and E[:, piv] = I while S[:, piv] = 0, so
     the two row spaces meet only in 0 and rank(a) = rank(E) + rank(S); S is
     reduced the same way.  The result is exact because ``matmul`` is.  A
-    matrix without a nonzero entry has rank 0 without any elimination.
+    matrix of at most :data:`SMALL` entries has the rank
+    :func:`_small_rref` counts, without a panel: exact, because Python ints
+    do not overflow.  A larger matrix without a nonzero entry has rank 0
+    without any elimination.
     """
     a = np.asarray(a, dtype=np.int64)
+    if a.size <= SMALL:
+        return len(_small_rref(np.mod(a, p).tolist(), p)[1])
     if not a.any():
         return 0
     return _panel_rank(a, p, PANEL)

@@ -43,7 +43,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .fincat import (
 )
 from .diagrams import Diagram, NotNatural, make_diagram, restrict_along
 from .codescent import _verdicts, codescent_at, codescent_locus
-from .diagrams import glossy_formula_check, left_kan, right_kan
+from .diagrams import left_kan, right_kan
 from .fincat import glossy as glossy_decide
 from . import selftest as selftest_mod
 from . import surgery

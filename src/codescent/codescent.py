@@ -208,24 +208,35 @@ class _BarLayout:
     and ``exact_through``, the strings by length and the cell degrees of
     the values on D.  Blocks, their positions and per-degree offsets are
     laid out one object at a time, on first use (:meth:`at`).
+
+    With ``strategy="ind-base"`` the cutoff and ``exact_through`` are
+    those of the ind-base inner resolution over (D, D): the bar bounds of
+    X|D (its default cutoff and its lo read X's values on D only), and
+    exact when full(D) is discrete (the identity base).  The layout is the
+    same bar layout, which an ind-base verdict scans (:func:`_verdicts`).
     """
 
-    strategy = "bar"
-
-    def __init__(self, x: Diagram, pair: CatPair, cutoff: int | None = None):
+    def __init__(self, x: Diagram, pair: CatPair, cutoff: int | None = None,
+                 strategy: str = "bar"):
         if x.cat != pair.cat:
             raise UnknownObject("diagram and pair live on different categories")
-        self.x, self.cat = x, pair.cat
+        self.x, self.cat, self.strategy = x, pair.cat, strategy
         self.sub = full_subcategory(pair.cat, pair.d_objects)
         self.directed = is_directed_pair(pair)
         natural = max(len(self.sub.objects) - 1, 0)
+        bounds = x
+        if strategy == "ind-base":
+            # X|D's values are all the bounds read; the maps play no part
+            bounds = Diagram(self.sub, {d: x.at[d] for d in self.sub.objects}, {})
+            if not self.sub.non_identity_morphisms():
+                cutoff = None
         if self.directed and (cutoff is None or int(cutoff) >= natural):
             max_len, self.cutoff, self.exact_through = natural, None, math.inf
         else:
-            self.cutoff = default_cutoff(x, pair) if cutoff is None else int(cutoff)
+            self.cutoff = default_cutoff(bounds, pair) if cutoff is None else int(cutoff)
             if self.cutoff < 0:
                 raise BadShapeParams("cutoff must be >= 0")
-            max_len, self.exact_through = self.cutoff, self.cutoff + x.lo() - 1
+            max_len, self.exact_through = self.cutoff, self.cutoff + bounds.lo() - 1
         # the last degree a verdict reads: it scans through exact_through
         self.top = None if self.exact_through is math.inf else int(self.exact_through) + 1
         self.levels = _paths_in(self.sub, max_len)
@@ -383,11 +394,11 @@ def bar_approximation(x: Diagram, pair: CatPair, cutoff: int | None = None) -> A
 # ---------------------------------------------------------------------------
 
 class _IndBase:
-    """The layout pass of the ind-base strategy: the inclusion of full(D)
-    into C, and the cutoff and exact_through of the inner bar resolution
-    over (D, D), unless full(D) is discrete (the exact identity base).
-    Verdicts read only these bounds; :meth:`inner` builds the inner
-    diagram and zeta : inner -> X|D for the full approximation."""
+    """The layout pass of the full ind-base build: the inclusion of
+    full(D) into C, and the cutoff and exact_through of the inner bar
+    resolution over (D, D), unless full(D) is discrete (the exact identity
+    base).  :meth:`inner` builds the inner diagram and zeta : inner -> X|D.
+    Verdicts take the same bounds from ``_BarLayout(..., "ind-base")``."""
 
     strategy = "ind-base"
 
@@ -414,9 +425,9 @@ class _IndBase:
         self.res_x = restrict_along(self.incl, x)
         self.lay = lay = None if base == "identity" else _BarLayout(
             self.res_x, CatPair(sub, frozenset(sub.objects)), cutoff)
-        self.directed, self.cutoff, self.exact_through, self.top = (
-            (True, None, math.inf, None) if lay is None
-            else (lay.directed, lay.cutoff, lay.exact_through, lay.top))
+        self.directed, self.cutoff, self.exact_through = (
+            (True, None, math.inf) if lay is None
+            else (lay.directed, lay.cutoff, lay.exact_through))
 
     def inner(self):
         """The inner diagram and the components of zeta."""
@@ -492,17 +503,14 @@ def _verdicts(x: Diagram, pair: CatPair, objects, strategy: str, cutoff: int | N
     of the inner bar resolution is that complex cell for cell, since the
     colimit over (D | c) identifies (string, lam, beta) with (string,
     beta o lam) (co-Yoneda).  Ind-base takes the cutoff, and so the
-    string lengths, from its inner layout over X|D, and ``top`` and
-    ``exact_through`` too: those read lo of X|D, not of X."""
-    if strategy == "bar":
-        res = lay = _BarLayout(x, pair, cutoff)
-    elif strategy == "ind-base":
-        res = _IndBase(x, pair, cutoff=cutoff)
-        lay = _BarLayout(x, pair, res.cutoff)
-    else:
+    string lengths, from its inner resolution over X|D, and ``top`` and
+    ``exact_through`` too: those read lo of X|D, not of X.  One layout
+    pass serves either strategy (:class:`_BarLayout`)."""
+    if strategy not in ("bar", "ind-base"):
         raise BadShapeParams("strategy must be 'bar' or 'ind-base'")
-    return res, {c: _verdict_for_map(_bar_comparison(lay, c, _bar_complex(lay, c, res.top)),
-                                     res.exact_through) for c in objects}
+    lay = _BarLayout(x, pair, cutoff, strategy)
+    return lay, {c: _verdict_for_map(_bar_comparison(lay, c, _bar_complex(lay, c, lay.top)),
+                                     lay.exact_through) for c in objects}
 
 
 def codescent_at(x: Diagram, pair: CatPair, c: str, strategy: str = "bar",

@@ -24,25 +24,23 @@ match observed output):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _modp
 from .chaincx import (
-    ChainComplex, ChainMap, compose, direct_sum, direct_sum_maps, disk,
-    first_homology_failure, identity_map, is_quasi_iso, make_complex,
-    make_map, random_chain_map, random_complex, sphere,
-    zero_complex, zero_map,
+    ChainComplex, compose, direct_sum, direct_sum_maps, disk,
+    first_homology_failure, identity_map, make_complex, make_map,
+    random_chain_map, random_complex, sphere, zero_complex, zero_map,
 )
 from .fincat import (
     CatPair, FinCat, build_shape, coset_inclusion, full_subcategory,
-    funnel_monoid, inclusion_functor, stabilizer_inclusion,
+    inclusion_functor, stabilizer_inclusion,
 )
 from .diagrams import (
     Diagram, adjoint_transpose, apply_value_functor, glossy_formula_check,
-    left_kan, make_diagram, restrict_along, restrict_to_subset, right_kan,
+    left_kan, make_diagram, right_kan,
 )
 from .codescent import (
     codescent_at, codescent_locus, oracle_criterion,

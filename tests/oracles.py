@@ -20,8 +20,6 @@ alone):
 
 from __future__ import annotations
 
-from itertools import product
-
 
 # ---------------------------------------------------------------------------
 # F_p linear algebra, list-of-lists flavour

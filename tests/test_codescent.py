@@ -273,10 +273,13 @@ def _case_diagram(draw, pair):
 def _assert_verdicts_read_the_full_build(x, pair, cutoff, strategy, full):
     """At every c outside D the verdict path scans a complex with the dims
     of the full build's value at c cut above exact_through + 1, and its
-    verdict is the full build's and the locus's.  Returns the locus report
+    verdict is the full build's and the locus's, and the locus reports
+    the full build's cutoff and exact_through.  Returns the locus report
     and, by c, the scanned xi_c with the full build's xi_c cut there."""
     top = full.exact_through + 1
     report = codescent_locus(x, pair, strategy, cutoff)
+    assert (report.strategy, report.directed, report.cutoff, report.exact_through) \
+        == (full.strategy, full.directed, full.cutoff, full.exact_through)
     scanned = {}
     for c in pair.complement:
         v, xi_c = _verdict_build(x, pair, c, cutoff, strategy)
@@ -328,8 +331,12 @@ def test_verdict_path_builds_the_full_build_through_exact_through_plus_one(case)
         assert xi_c == want
 
 
+TERMINAL2 = build_shape("terminal_extension", n=2)
+
+
 @given(ind_base_cases())
 @example((*z2_funnel_acyclic_tail(), 3))  # the bounds read X|D, not X
+@example((TERMINAL2, constant_diagram(TERMINAL2.cat, sphere(3, 0)), 0))  # discrete D: exact
 @settings(max_examples=60, deadline=None)
 def test_ind_base_verdict_path_builds_the_full_build_through_exact_through_plus_one(case):
     # the verdict scans the bar QX(c); the full build's colimit at c is
@@ -366,6 +373,21 @@ def test_ind_base_verdict_path_builds_nothing_above_exact_through_plus_one():
     assert max(full.diagram.at["c"].dims) == 5
     assert max(xi_c.source.dims) == 3
     assert (v.status, v.degree) == ("fails", 1)
+
+
+def test_an_ind_base_verdict_runs_one_layout_pass():
+    # the bounds come from full(D) and X's values on D: no inclusion
+    # functor, no restricted diagram, and full(D) and its strings once
+    pair, x = z2_funnel_acyclic_tail()
+    counted = ("full_subcategory", "_paths_in")
+    with contextlib.ExitStack() as stack:
+        spies = {name: stack.enter_context(mock.patch.object(
+            cmod, name, wraps=getattr(cmod, name))) for name in counted}
+        for name in ("inclusion_functor", "restrict_along"):
+            stack.enter_context(mock.patch.object(cmod, name, side_effect=AssertionError))
+        report = codescent_locus(x, pair, "ind-base", 3)
+    assert {name: spy.call_count for name, spy in spies.items()} == dict.fromkeys(counted, 1)
+    assert (report.cutoff, report.exact_through) == (3, 2)
 
 
 def test_ind_base_verdicts_build_no_comma_category_and_no_colimit():

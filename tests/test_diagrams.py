@@ -16,7 +16,6 @@ from codescent import (
     full_subcategory,
     funnel_monoid,
     glossy_formula_check,
-    homology_dims,
     identity_map,
     identity_nat,
     inclusion_functor,

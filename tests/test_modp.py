@@ -9,6 +9,11 @@ from codescent import _modp
 import oracles
 
 PRIMES = (2, 3, 5, 7)
+# rref and rank reduce matrices of at most SMALL entries on Python ints and
+# larger ones in numpy.  Most draws below are small, so the property tests
+# check each input on both routes: at the default SMALL, and with SMALL = 0,
+# where every nonempty matrix takes the numpy loop.
+ROUTES = (_modp.SMALL, 0)
 
 
 @st.composite
@@ -60,20 +65,26 @@ def test_rref_known_case():
 @settings(max_examples=150, deadline=None)
 def test_rref_is_idempotent_with_unit_pivots(mp):
     a, p = mp
-    r, pivots = _modp.rref(a, p)
-    again, pivots2 = _modp.rref(r, p)
-    assert np.array_equal(r, again)
-    assert pivots == pivots2
-    for i, c in enumerate(pivots):
-        col = r[:, c]
-        assert col[i] == 1 and np.count_nonzero(col) == 1
+    for small in ROUTES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_modp, "SMALL", small)
+            r, pivots = _modp.rref(a, p)
+            again, pivots2 = _modp.rref(r, p)
+        assert np.array_equal(r, again)
+        assert pivots == pivots2
+        for i, c in enumerate(pivots):
+            col = r[:, c]
+            assert col[i] == 1 and np.count_nonzero(col) == 1
 
 
 @given(matrices())
 @settings(max_examples=150, deadline=None)
 def test_rank_matches_independent_row_reduction(mp):
     a, p = mp
-    assert _modp.rank(a, p) == oracles.rank_of(a.tolist(), p)
+    for small in ROUTES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_modp, "SMALL", small)
+            assert _modp.rank(a, p) == oracles.rank_of(a.tolist(), p), small
 
 
 def test_rank_of_a_zero_matrix_needs_no_elimination(monkeypatch):
@@ -122,8 +133,11 @@ def panel_matrices(draw):
 def test_panel_rank_matches_oracle_at_every_height(mp, height):
     a, p = mp
     want = oracles.rank_of(a.tolist(), p)
-    assert _modp.rank(a, p) == want
-    assert _modp._panel_rank(a, p, height) == want
+    for small in ROUTES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_modp, "SMALL", small)
+            assert _modp.rank(a, p) == want, small
+            assert _modp._panel_rank(a, p, height) == want, small
 
 
 @given(panel_matrices())
@@ -131,9 +145,40 @@ def test_panel_rank_matches_oracle_at_every_height(mp, height):
 def test_rref_matches_oracle(mp):
     a, p = mp
     want, want_pivots = oracles.row_reduce(a.tolist(), p)
-    r, pivots = _modp.rref(a, p)
-    assert pivots == want_pivots
-    assert r.tolist() == want
+    got = []
+    for small in ROUTES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_modp, "SMALL", small)
+            r, pivots = _modp.rref(a, p)
+        assert (r.tolist(), pivots) == (want, want_pivots), small
+        got.append((r.dtype, r.shape, r.tobytes(), pivots))
+    assert got[0] == got[1]
+
+
+# Shapes on both sides of SMALL: SMALL and SMALL + 1 entries as one row,
+# one column and (near) square, and empty ones.
+THRESHOLD_SHAPES = ((1, _modp.SMALL), (1, _modp.SMALL + 1), (_modp.SMALL, 1),
+                    (_modp.SMALL + 1, 1), (16, _modp.SMALL // 16),
+                    (16, _modp.SMALL // 16 + 1), (0, 7), (7, 0), (0, 0))
+
+
+@pytest.mark.parametrize("p", PANEL_PRIMES)
+def test_both_routes_match_the_oracle_across_the_threshold(p, monkeypatch):
+    assert _modp.SMALL % 16 == 0
+    rng = np.random.default_rng(p % 1009)
+    for shape in THRESHOLD_SHAPES:
+        for density in (1.0, 0.3, 0.02):
+            a = rng.integers(0, p, size=shape) * (rng.random(shape) < density)
+            want, want_pivots = oracles.row_reduce(a.tolist(), p)
+            got = []
+            for small in ROUTES:
+                monkeypatch.setattr(_modp, "SMALL", small)
+                r, pivots = _modp.rref(a, p)
+                assert r.dtype == np.int64 and r.shape == shape
+                assert (r.tolist(), pivots) == (want, want_pivots), (shape, small)
+                assert _modp.rank(a, p) == len(want_pivots) == oracles.rank_of(a.tolist(), p)
+                got.append((r.tobytes(), pivots))
+            assert got[0] == got[1]
 
 
 @pytest.mark.parametrize("p", PANEL_PRIMES)
