@@ -47,7 +47,7 @@ from .diagrams import (
     solve_lifting, solve_nat_lifting_zero,
 )
 from .codescent import (
-    CodescentVerdict, CodescentReport, Approximation, DNotFull,
+    CodescentVerdict, CodescentReport, Approximation,
     is_directed_pair, default_cutoff, bar_approximation,
     ind_base_approximation, approximate, codescent_at, codescent_locus,
     oracle_criterion, verify_cofibrant_approx,

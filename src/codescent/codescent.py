@@ -24,16 +24,17 @@ Two strategies compute the resolution:
 * ``ind-base``: resolve the restriction to D first (identity when the
   full subcategory on D is discrete - over a field every single complex
   is already resolvent - otherwise the bar construction over (D, D)),
-  then extend along the inclusion by objectwise colimits
-  (``ind_base_approximation`` builds the whole left Kan extension).  For
-  the bar base the colimit over (D | c) is the bar complex QX(c) cell for
-  cell: it identifies (string, lam, beta) with (string, beta o lam), by
-  co-Yoneda (Mac Lane, CWM X.4); for the identity base both are the sum
-  of X(d) over the morphisms d -> c.  So a verdict at c scans the bar
-  QX(c) and xi_c, built through exact_through + 1, for either strategy.
-  Ind-base takes the cutoff and exact_through from its inner resolution
-  over (D, D): the default cutoff and the lo in N + lo - 1 are those of X
-  restricted to D.
+  then extend along the inclusion by the left Kan extension, an
+  objectwise colimit over (D | c).  For the bar base that colimit is the
+  bar complex QX(c) cell for cell: it identifies (string, lam, beta) with
+  (string, beta o lam), by co-Yoneda (Mac Lane, CWM X.4), and a morphism
+  g acts on both by lam -> g o lam; for the identity base both are the
+  sum of X(d) over the morphisms d -> c, and over an empty D both are
+  zero.  So ind-base builds the bar resolution too, for a verdict and for
+  the whole diagram (``ind_base_approximation``) alike, and differs from
+  bar only in its bounds, those of its inner resolution over (D, D): the
+  default cutoff and the lo in N + lo - 1 are those of X restricted to D,
+  and the build is exact when full(D) is discrete.
 
 Verdicts: ``holds`` and ``fails`` are only emitted from exact data (a
 directed pair, or a failure witnessed inside the trustworthy degree
@@ -53,20 +54,10 @@ from . import _modp
 from .chaincx import (
     ChainComplex, ChainMap, add_maps, compose, direct_sum,
     first_homology_failure, identity_map, is_quasi_iso, make_map,
-    mapping_cone, zero_complex, zero_map,
+    mapping_cone,
 )
-from .fincat import (
-    BadShapeParams, CatPair, FinCat, UnknownObject, full_subcategory,
-    inclusion_functor, is_full_subcategory,
-)
-from .diagrams import (
-    Diagram, NatTrans, left_kan, left_mate, make_diagram, make_nat,
-    restrict_along, solve_nat_lifting_zero,
-)
-
-
-class DNotFull(Exception):
-    pass
+from .fincat import BadShapeParams, CatPair, FinCat, UnknownObject, full_subcategory
+from .diagrams import Diagram, NatTrans, make_diagram, make_nat, solve_nat_lifting_zero
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +149,7 @@ def default_cutoff(x: Diagram, pair: CatPair) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Bar approximation
+# The resolution, for both strategies
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -176,8 +167,19 @@ class Approximation:
     directed: bool
     cutoff: int | None
     exact_through: float
-    base: str | None = None
     column_sizes: dict[str, list[int]] = field(default_factory=dict)
+
+
+def _check_args(x: Diagram, pair: CatPair, strategy: str, cutoff: int | None) -> None:
+    """Reject a diagram on another category, an unknown strategy and a
+    negative cutoff, at any object (:func:`codescent_at` checks them on D
+    too, where no layout is built)."""
+    if x.cat != pair.cat:
+        raise UnknownObject("diagram and pair live on different categories")
+    if strategy not in ("bar", "ind-base"):
+        raise BadShapeParams("strategy must be 'bar' or 'ind-base'")
+    if cutoff is not None and int(cutoff) < 0:
+        raise BadShapeParams("cutoff must be >= 0")
 
 
 def _paths_in(sub: FinCat, max_len: int):
@@ -213,13 +215,15 @@ class _BarLayout:
     those of the ind-base inner resolution over (D, D): the bar bounds of
     X|D (its default cutoff and its lo read X's values on D only), and
     exact when full(D) is discrete (the identity base).  The layout is the
-    same bar layout, which an ind-base verdict scans (:func:`_verdicts`).
+    same bar layout: the left Kan extension of the inner resolution is the
+    bar resolution (see the module docstring), so ind-base verdicts
+    (:func:`_verdicts`) and the full ind-base build (:func:`approximate`)
+    lay it out here too.
     """
 
     def __init__(self, x: Diagram, pair: CatPair, cutoff: int | None = None,
                  strategy: str = "bar"):
-        if x.cat != pair.cat:
-            raise UnknownObject("diagram and pair live on different categories")
+        _check_args(x, pair, strategy, cutoff)
         self.x, self.cat, self.strategy = x, pair.cat, strategy
         self.sub = full_subcategory(pair.cat, pair.d_objects)
         self.directed = is_directed_pair(pair)
@@ -234,8 +238,6 @@ class _BarLayout:
             max_len, self.cutoff, self.exact_through = natural, None, math.inf
         else:
             self.cutoff = default_cutoff(bounds, pair) if cutoff is None else int(cutoff)
-            if self.cutoff < 0:
-                raise BadShapeParams("cutoff must be >= 0")
             max_len, self.exact_through = self.cutoff, self.cutoff + bounds.lo() - 1
         # the last degree a verdict reads: it scans through exact_through
         self.top = None if self.exact_through is math.inf else int(self.exact_through) + 1
@@ -363,6 +365,23 @@ def _bar_diagram(lay: _BarLayout) -> tuple[Diagram, NatTrans]:
     return qx, NatTrans(qx, lay.x, {c: _bar_comparison(lay, c, at[c]) for c in cat.objects})
 
 
+def approximate(x: Diagram, pair: CatPair, strategy: str = "bar",
+                cutoff: int | None = None) -> Approximation:
+    """The whole resolution QX and xi : QX -> X, for either strategy.
+
+    One layout pass (:class:`_BarLayout`, which takes the strategy's
+    cutoff and ``exact_through``) and the bar diagram on it: the ind-base
+    left Kan extension is that diagram (see the module docstring).
+    Verdicts build only QX(c) and xi_c (:func:`_verdicts`); this full
+    build serves :func:`verify_cofibrant_approx`.
+    """
+    lay = _BarLayout(x, pair, cutoff, strategy)
+    qx, xi = _bar_diagram(lay)
+    sizes = {c: [len(col) for col in lay.at(c)[0]] for c in lay.cat.objects}
+    return Approximation(qx, xi, pair, strategy, lay.directed, lay.cutoff,
+                         lay.exact_through, column_sizes=sizes)
+
+
 def bar_approximation(x: Diagram, pair: CatPair, cutoff: int | None = None) -> Approximation:
     """Normalized bar resolution of a diagram along a pair, everywhere.
 
@@ -377,111 +396,24 @@ def bar_approximation(x: Diagram, pair: CatPair, cutoff: int | None = None) -> A
     too, when an explicit cutoff undercuts the natural string-length
     bound); see the module docstring for the degree range a truncation
     certifies.
-
-    Verdicts build only QX(c) and xi_c (:func:`_verdicts`); this full
-    build serves :func:`approximate`, and so
-    :func:`verify_cofibrant_approx`.
     """
-    lay = _BarLayout(x, pair, cutoff)
-    qx, xi = _bar_diagram(lay)
-    sizes = {c: [len(col) for col in lay.at(c)[0]] for c in lay.cat.objects}
-    return Approximation(qx, xi, pair, "bar", lay.directed, lay.cutoff,
-                         lay.exact_through, column_sizes=sizes)
+    return approximate(x, pair, "bar", cutoff)
 
 
-# ---------------------------------------------------------------------------
-# Induced-base approximation
-# ---------------------------------------------------------------------------
+def ind_base_approximation(x: Diagram, pair: CatPair,
+                           cutoff: int | None = None) -> Approximation:
+    """Resolve on D first, then extend along the inclusion, everywhere.
 
-class _IndBase:
-    """The layout pass of the full ind-base build: the inclusion of
-    full(D) into C, and the cutoff and exact_through of the inner bar
-    resolution over (D, D), unless full(D) is discrete (the exact identity
-    base).  :meth:`inner` builds the inner diagram and zeta : inner -> X|D.
-    Verdicts take the same bounds from ``_BarLayout(..., "ind-base")``."""
-
-    strategy = "ind-base"
-
-    def __init__(self, x: Diagram, pair: CatPair, base: str = "auto",
-                 cutoff: int | None = None, sub: FinCat | None = None):
-        if x.cat != pair.cat:
-            raise UnknownObject("diagram and pair live on different categories")
-        if sub is None:
-            sub = full_subcategory(pair.cat, pair.d_objects)
-        elif tuple(sub.objects) != pair.d_objects or not is_full_subcategory(sub, pair.cat):
-            raise DNotFull("the base subcategory must be the full one on the subset")
-        discrete = not sub.non_identity_morphisms()
-        # over nothing every base resolves to zero
-        if base == "auto" or not sub.objects:
-            base = "identity" if discrete else "bar"
-        if base == "identity" and not discrete:
-            raise BadShapeParams(
-                "identity base is only valid when the full subcategory on the "
-                "subset is discrete; use base='bar'")
-        if base not in ("identity", "bar"):
-            raise BadShapeParams("base must be auto, identity or bar")
-        self.sub, self.base = sub, base
-        self.incl = inclusion_functor(sub, pair.cat)
-        self.res_x = restrict_along(self.incl, x)
-        self.lay = lay = None if base == "identity" else _BarLayout(
-            self.res_x, CatPair(sub, frozenset(sub.objects)), cutoff)
-        self.directed, self.cutoff, self.exact_through = (
-            (True, None, math.inf) if lay is None
-            else (lay.directed, lay.cutoff, lay.exact_through))
-
-    def inner(self):
-        """The inner diagram and the components of zeta."""
-        if self.lay is None:
-            return self.res_x, {d: identity_map(self.res_x.at[d]) for d in self.sub.objects}
-        qx, zeta = _bar_diagram(self.lay)
-        return qx, zeta.comps
-
-
-def ind_base_approximation(x: Diagram, pair: CatPair, base: str = "auto",
-                           cutoff: int | None = None,
-                           sub: FinCat | None = None) -> Approximation:
-    """Resolve on D first, then extend along the inclusion by colimits.
-
-    ``base="identity"`` keeps the restricted diagram as its own resolution
-    and is only sound when the full subcategory on D is discrete (single
-    complexes are always resolvent over a field, but diagrams with real
-    arrows are not); ``base="bar"`` resolves the restriction with the bar
-    construction over (D, D); ``base="auto"`` picks identity exactly in
-    the discrete case.  A non-full ``sub`` is rejected: the construction
-    extends along a full inclusion.
-
-    The value at c is the bar complex QX(c) up to the colimit's choice of
-    basis (see the module docstring), so verdicts scan that complex, cut
-    at exact_through + 1, with this strategy's cutoff and exact_through
-    (:func:`_verdicts`).  This full build, the whole left Kan extension
-    with its structure maps, serves :func:`approximate`, and the tests
-    compare verdicts against it.
+    The inner resolution over (D, D) is the identity when the full
+    subcategory on D is discrete (single complexes are always resolvent
+    over a field, but diagrams with real arrows are not), and otherwise
+    the bar construction.  Its left Kan extension along the full
+    inclusion is the bar resolution of X (see the module docstring), so
+    this builds that diagram, with the ind-base cutoff and
+    ``exact_through``: those of the inner resolution, read off X
+    restricted to D, and exact when D is discrete.
     """
-    res = _IndBase(x, pair, base, cutoff, sub)
-    cat = pair.cat
-    if not res.sub.objects:
-        # colimit over nothing: the resolution is zero everywhere
-        p = x.prime
-        at = {a: zero_complex(p) for a in cat.objects}
-        on = {m: zero_map(at[s], at[t]) for m, (s, t) in cat.mor.items()}
-        qx = Diagram(cat, at, on)
-        xi = NatTrans(qx, x, {a: zero_map(qx.at[a], x.at[a]) for a in cat.objects})
-        return Approximation(qx, xi, pair, "ind-base", True, None, math.inf,
-                             base="identity")
-    inner, zeta = res.inner()
-    lk = left_kan(res.incl, inner)
-    xi = NatTrans(lk.diagram, x, left_mate(lk, x, zeta))
-    return Approximation(lk.diagram, xi, pair, "ind-base", res.directed, res.cutoff,
-                         res.exact_through, base=res.base)
-
-
-def approximate(x: Diagram, pair: CatPair, strategy: str = "bar",
-                cutoff: int | None = None) -> Approximation:
-    if strategy == "bar":
-        return bar_approximation(x, pair, cutoff=cutoff)
-    if strategy == "ind-base":
-        return ind_base_approximation(x, pair, base="auto", cutoff=cutoff)
-    raise BadShapeParams("strategy must be 'bar' or 'ind-base'")
+    return approximate(x, pair, "ind-base", cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -497,17 +429,9 @@ def _verdicts(x: Diagram, pair: CatPair, objects, strategy: str, cutoff: int | N
     """The layout pass, and the verdicts at ``objects`` outside D.  Each
     verdict builds only xi_c : QX(c) -> X(c), through degree exact_through
     + 1 (the scan reads d_{through + 1} and nothing higher), and scans it
-    at once.
-
-    Both strategies scan the bar complex QX(c): the ind-base colimit at c
-    of the inner bar resolution is that complex cell for cell, since the
-    colimit over (D | c) identifies (string, lam, beta) with (string,
-    beta o lam) (co-Yoneda).  Ind-base takes the cutoff, and so the
-    string lengths, from its inner resolution over X|D, and ``top`` and
-    ``exact_through`` too: those read lo of X|D, not of X.  One layout
-    pass serves either strategy (:class:`_BarLayout`)."""
-    if strategy not in ("bar", "ind-base"):
-        raise BadShapeParams("strategy must be 'bar' or 'ind-base'")
+    at once.  Both strategies scan the bar complex QX(c), with their own
+    cutoff, ``top`` and ``exact_through`` (:class:`_BarLayout`; see the
+    module docstring for why ind-base scans it too)."""
     lay = _BarLayout(x, pair, cutoff, strategy)
     return lay, {c: _verdict_for_map(_bar_comparison(lay, c, _bar_complex(lay, c, lay.top)),
                                      lay.exact_through) for c in objects}
@@ -517,10 +441,11 @@ def codescent_at(x: Diagram, pair: CatPair, c: str, strategy: str = "bar",
                  cutoff: int | None = None) -> CodescentVerdict:
     """Verdict at one object.  On the distinguished subset the answer is
     always Holds (the comparison map is a weak equivalence there by
-    construction)."""
+    construction), though the arguments are checked there as well."""
     if c not in set(pair.cat.objects):
         raise UnknownObject("no object %r" % c)
     if c in pair.dset:
+        _check_args(x, pair, strategy, cutoff)
         return HOLDS
     return _verdicts(x, pair, [c], strategy, cutoff)[1][c]
 

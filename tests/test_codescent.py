@@ -8,14 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import codescent.codescent as cmod
-from codescent import chaincx, fincat
+from codescent import chaincx, diagrams, fincat
 from codescent import (
     BadShapeParams,
     CatPair,
     ChainComplex,
     ChainMap,
     CodescentVerdict,
-    DNotFull,
     UnknownObject,
     approximate,
     bar_approximation,
@@ -37,7 +36,6 @@ from codescent import (
     make_map,
     oracle_criterion,
     sphere,
-    strict_funnel_category,
     verify_cofibrant_approx,
     zero_complex,
     zero_map,
@@ -106,10 +104,11 @@ def test_default_cutoff_formula(rng):
 def test_bar_is_exact_on_directed_pairs(rng):
     pair = build_shape("commutative_square")
     x = random_diagram(rng, pair.cat, 3, hi=1, max_dim=2, cells=1)
-    ap = bar_approximation(x, pair)
-    assert ap.directed and ap.cutoff is None
-    assert ap.exact_through is math.inf
-    assert set(ap.column_sizes) == set(pair.cat.objects)
+    for build in (bar_approximation, ind_base_approximation):
+        ap = build(x, pair)
+        assert ap.directed and ap.cutoff is None
+        assert ap.exact_through is math.inf
+        assert set(ap.column_sizes) == set(pair.cat.objects)
 
 
 def test_bar_honors_explicit_cutoff_even_when_directed(rng):
@@ -229,9 +228,20 @@ def test_locus_report_partitions_objects(rng):
 # the verdict path against the full build
 # ---------------------------------------------------------------------------
 
-# what each strategy's full build calls; a verdict must call none of them
-FULL_BUILDS = {"bar": ("bar_approximation",),
-               "ind-base": ("ind_base_approximation", "left_kan")}
+# what each strategy's full build calls; a verdict must call none of them,
+# and no left Kan extension either
+FULL_BUILDS = {"bar": (cmod.bar_approximation, cmod.approximate, cmod._bar_diagram),
+               "ind-base": (cmod.ind_base_approximation, cmod.approximate,
+                            cmod._bar_diagram, diagrams.left_kan)}
+
+
+def _forbid(stack, builders):
+    """Make every binding of ``builders`` under ``codescent.*`` raise, since
+    modules import the builders by name (see ``conftest.py``)."""
+    for mod in [m for n, m in sys.modules.items() if n.startswith("codescent")]:
+        for attr, value in list(vars(mod).items()):
+            if any(value is b for b in builders):
+                stack.enter_context(mock.patch.object(mod, attr, side_effect=AssertionError))
 
 
 def _verdict_build(x, pair, c, cutoff, strategy="bar"):
@@ -245,8 +255,7 @@ def _verdict_build(x, pair, c, cutoff, strategy="bar"):
 
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(cmod, "_verdict_for_map", record))
-        for name in FULL_BUILDS[strategy]:
-            stack.enter_context(mock.patch.object(cmod, name, side_effect=AssertionError))
+        _forbid(stack, FULL_BUILDS[strategy])
         v = codescent_at(x, pair, c, strategy, cutoff)
     (xi_c,) = scanned
     return v, xi_c
@@ -271,23 +280,23 @@ def _case_diagram(draw, pair):
 
 
 def _assert_verdicts_read_the_full_build(x, pair, cutoff, strategy, full):
-    """At every c outside D the verdict path scans a complex with the dims
-    of the full build's value at c cut above exact_through + 1, and its
-    verdict is the full build's and the locus's, and the locus reports
-    the full build's cutoff and exact_through.  Returns the locus report
-    and, by c, the scanned xi_c with the full build's xi_c cut there."""
+    """At every c outside D the verdict path scans the full build's xi_c
+    cut above exact_through + 1, and its verdict is the full build's and
+    the locus's, and the locus reports the full build's cutoff and
+    exact_through.  Returns the locus report."""
     top = full.exact_through + 1
     report = codescent_locus(x, pair, strategy, cutoff)
     assert (report.strategy, report.directed, report.cutoff, report.exact_through) \
         == (full.strategy, full.directed, full.cutoff, full.exact_through)
-    scanned = {}
     for c in pair.complement:
         v, xi_c = _verdict_build(x, pair, c, cutoff, strategy)
-        scanned[c] = xi_c, _below(full.xi.comps[c], top)
-        assert xi_c.source.dims == scanned[c][1].source.dims
+        want = _below(full.xi.comps[c], top)
+        assert xi_c.source == want.source
+        assert xi_c.source.diff.keys() == want.source.diff.keys()
+        assert xi_c == want
         assert v == report.verdicts[c] == _verdict_for_map(full.xi.comps[c],
                                                            full.exact_through)
-    return report, scanned
+    return report
 
 
 @st.composite
@@ -323,12 +332,8 @@ def ind_base_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_verdict_path_builds_the_full_build_through_exact_through_plus_one(case):
     pair, x, cutoff = case
-    _, scanned = _assert_verdicts_read_the_full_build(
-        x, pair, cutoff, "bar", bar_approximation(x, pair, cutoff=cutoff))
-    for xi_c, want in scanned.values():
-        assert xi_c.source == want.source
-        assert xi_c.source.diff.keys() == want.source.diff.keys()
-        assert xi_c == want
+    _assert_verdicts_read_the_full_build(x, pair, cutoff, "bar",
+                                         bar_approximation(x, pair, cutoff=cutoff))
 
 
 TERMINAL2 = build_shape("terminal_extension", n=2)
@@ -339,13 +344,57 @@ TERMINAL2 = build_shape("terminal_extension", n=2)
 @example((TERMINAL2, constant_diagram(TERMINAL2.cat, sphere(3, 0)), 0))  # discrete D: exact
 @settings(max_examples=60, deadline=None)
 def test_ind_base_verdict_path_builds_the_full_build_through_exact_through_plus_one(case):
-    # the verdict scans the bar QX(c); the full build's colimit at c is
-    # that complex in another basis, so dims and verdicts must agree
     pair, x, cutoff = case
     full = ind_base_approximation(x, pair, cutoff=cutoff)
-    report, _ = _assert_verdicts_read_the_full_build(x, pair, cutoff, "ind-base", full)
+    report = _assert_verdicts_read_the_full_build(x, pair, cutoff, "ind-base", full)
     if is_directed_pair(pair) and full.exact_through is math.inf:
         assert report.verdicts == codescent_locus(x, pair, "bar").verdicts
+
+
+def _lan_reference(x, pair, cutoff):
+    """The ind-base resolution built the paper's way: resolve X|D over
+    (D, D) (the identity when full(D) is discrete, else the bar
+    construction), push it forward along the inclusion by the left Kan
+    extension, and take xi as the left mate of zeta : inner -> X|D.
+    Returns (directed, cutoff, exact_through) and the values of QX and xi
+    by object."""
+    sub = fincat.full_subcategory(pair.cat, pair.d_objects)
+    if not sub.objects:  # left_kan cannot read the prime of an empty diagram
+        at = {a: zero_complex(x.prime) for a in pair.cat.objects}
+        return (True, None, math.inf), at, {a: zero_map(at[a], x.at[a]) for a in at}
+    incl = fincat.inclusion_functor(sub, pair.cat)
+    res_x = diagrams.restrict_along(incl, x)
+    if sub.non_identity_morphisms():
+        lay = cmod._BarLayout(res_x, CatPair(sub, frozenset(sub.objects)), cutoff)
+        inner, zeta = cmod._bar_diagram(lay)
+        bounds, zeta = (lay.directed, lay.cutoff, lay.exact_through), zeta.comps
+    else:
+        inner, zeta = res_x, {d: identity_map(res_x.at[d]) for d in sub.objects}
+        bounds = True, None, math.inf
+    lk = diagrams.left_kan(incl, inner)
+    return bounds, lk.diagram.at, diagrams.left_mate(lk, x, zeta)
+
+
+EMPTY_D = build_shape("discrete", n=2, dset=[])
+
+
+@given(ind_base_cases())
+@example((*z2_funnel_acyclic_tail(), 3))
+@example((TERMINAL2, constant_diagram(TERMINAL2.cat, sphere(3, 0)), 0))
+@example((EMPTY_D, make_diagram(EMPTY_D.cat, {"x0": disk(3, 1), "x1": sphere(3, 0)}, {}), 2))
+@settings(max_examples=60, deadline=None)
+def test_ind_base_approximation_is_the_left_kan_extension_of_the_inner_resolution(case):
+    # the bar build and the colimits agree up to a choice of basis, so
+    # compare what a basis change keeps
+    pair, x, cutoff = case
+    full = ind_base_approximation(x, pair, cutoff)
+    bounds, qx, xi = _lan_reference(x, pair, cutoff)
+    assert (full.directed, full.cutoff, full.exact_through) == bounds
+    for a in pair.cat.objects:
+        assert full.diagram.at[a].dims == qx[a].dims
+        assert homology_dims(full.diagram.at[a]) == homology_dims(qx[a])
+        assert _verdict_for_map(full.xi.comps[a], full.exact_through) \
+            == _verdict_for_map(xi[a], full.exact_through)
 
 
 def test_verdict_path_builds_nothing_above_exact_through_plus_one():
@@ -363,12 +412,13 @@ def test_verdict_path_builds_nothing_above_exact_through_plus_one():
 
 
 def test_ind_base_verdict_path_builds_nothing_above_exact_through_plus_one():
-    # the same X: the full build's colimit at c reaches degree 5, the QX(c)
-    # an ind-base verdict scans stops at 3
+    # the same X: the full build at c reaches degree 5, the QX(c) an
+    # ind-base verdict scans stops at 3
     pair = funnel_monoid(k=2)
     x = constant_diagram(pair.cat, ChainComplex(2, {0: 1, 2: 1}, {}))
     v, xi_c = _verdict_build(x, pair, "c", 3, "ind-base")
-    full = ind_base_approximation(x, pair, cutoff=3)
+    full = ind_base_approximation(x, pair, 3)  # the cutoff is the third argument
+    assert full == approximate(x, pair, "ind-base", 3)
     assert full.exact_through == 2
     assert max(full.diagram.at["c"].dims) == 5
     assert max(xi_c.source.dims) == 3
@@ -383,8 +433,7 @@ def test_an_ind_base_verdict_runs_one_layout_pass():
     with contextlib.ExitStack() as stack:
         spies = {name: stack.enter_context(mock.patch.object(
             cmod, name, wraps=getattr(cmod, name))) for name in counted}
-        for name in ("inclusion_functor", "restrict_along"):
-            stack.enter_context(mock.patch.object(cmod, name, side_effect=AssertionError))
+        _forbid(stack, (fincat.inclusion_functor, diagrams.restrict_along))
         report = codescent_locus(x, pair, "ind-base", 3)
     assert {name: spy.call_count for name, spy in spies.items()} == dict.fromkeys(counted, 1)
     assert (report.cutoff, report.exact_through) == (3, 2)
@@ -393,12 +442,8 @@ def test_an_ind_base_verdict_runs_one_layout_pass():
 def test_ind_base_verdicts_build_no_comma_category_and_no_colimit():
     pair = funnel_monoid(k=3)
     x = constant_diagram(pair.cat, sphere(3, 0))
-    builders = (chaincx.finite_colimit, fincat.comma)
     with contextlib.ExitStack() as stack:
-        for mod in [m for n, m in sys.modules.items() if n.startswith("codescent")]:
-            for attr, value in list(vars(mod).items()):
-                if any(value is b for b in builders):
-                    stack.enter_context(mock.patch.object(mod, attr, side_effect=AssertionError))
+        _forbid(stack, (chaincx.finite_colimit, fincat.comma))
         report = codescent_locus(x, pair, "ind-base", 3)
     assert report.verdicts == codescent_locus(x, pair, "bar", 3).verdicts
     assert report.failures == ("c",)
@@ -420,24 +465,24 @@ def test_strategies_agree_on_directed_shapes(rng):
                 == (b.status, b.degree, b.defect, b.bound)
 
 
-def test_ind_base_rejects_non_full_sub():
-    pair, x = z2_funnel_s0()
-    thin = strict_funnel_category(pair.cat, set(), "d")  # drops m1
-    with pytest.raises(DNotFull):
-        ind_base_approximation(x, pair, sub=thin)
-
-
-def test_ind_base_identity_base_needs_discrete_subset():
-    pair, x = z2_funnel_s0()
-    with pytest.raises(BadShapeParams):
-        ind_base_approximation(x, pair, base="identity")
-
-
 def test_unknown_strategy_rejected(rng):
+    # at every object: on D too, where a verdict builds nothing
     pair = build_shape("arrow")
     x = random_diagram(rng, pair.cat, 2, cells=1)
+    other = random_diagram(rng, funnel_monoid(k=2).cat, 2, cells=1)
     with pytest.raises(BadShapeParams):
         approximate(x, pair, strategy="simplicial")
+    for c in pair.cat.objects:
+        with pytest.raises(BadShapeParams):
+            codescent_at(x, pair, c, strategy="simplicial")
+        with pytest.raises(BadShapeParams):
+            codescent_at(x, pair, c, cutoff=-3)
+        with pytest.raises(UnknownObject):
+            codescent_at(other, pair, c)
+    # a discrete D ignores the cutoff, but not a negative one
+    y = constant_diagram(TERMINAL2.cat, sphere(3, 0))
+    with pytest.raises(BadShapeParams):
+        ind_base_approximation(y, TERMINAL2, -3)
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +568,11 @@ def test_free_square_failure_carries_no_degree(rng):
 def test_verify_accepts_the_bar_resolution(rng):
     pair = build_shape("arrow")
     x = random_diagram(rng, pair.cat, 2, hi=1, max_dim=2, cells=1)
-    ap = bar_approximation(x, pair)
-    report = verify_cofibrant_approx(x, ap)
-    assert report["d_weq"] and report["ok"]
-    assert report["lifting_checks"], "arrow shape offers a collapse context"
-    assert all(rec["lift_found"] for rec in report["lifting_checks"])
+    for build in (bar_approximation, ind_base_approximation):
+        report = verify_cofibrant_approx(x, build(x, pair))
+        assert report["d_weq"] and report["ok"]
+        assert report["lifting_checks"], "arrow shape offers a collapse context"
+        assert all(rec["lift_found"] for rec in report["lifting_checks"])
 
 
 def test_verify_rejects_diagram_posing_as_its_own_resolution():

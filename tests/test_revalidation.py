@@ -94,8 +94,9 @@ def test_the_hook_rejects_planted_bar_verdict_faults(revalidation):
 
 
 def test_the_hook_rejects_planted_ind_base_approximation_faults(revalidation):
-    # the comma colimits, the left Kan extension and the inner resolution
-    # that the full ind-base approximation builds
+    # the comma colimits and the left Kan extension that ``kan ind`` and
+    # the left Kan reference of the ind-base tests build, and the
+    # comparison map a full approximation carries
     square = build_shape("commutative_square")
     s = sphere(2, 0)
     x = constant_diagram(square.cat, s)
