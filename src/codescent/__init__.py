@@ -23,8 +23,7 @@ from .chaincx import (
     PrimeMismatch, NonCommutingSquare,
     make_complex, zero_complex, sphere, disk,
     make_map, identity_map, zero_map, compose, add_maps,
-    is_degreewise_epi, is_degreewise_mono,
-    homology_dims, is_acyclic, induced_homology_map, mapping_cone,
+    homology_dims, induced_homology_map, mapping_cone,
     is_quasi_iso, first_homology_failure, direct_sum, direct_sum_maps,
     tensor, tensor_maps, finite_colimit, finite_limit,
     random_complex, random_chain_map,
@@ -33,7 +32,7 @@ from .fincat import (
     FinCat, CatPair, FunctorData, CategoryError, MissingComposite,
     NonAssociative, BadIdentity, UnknownObject, BadShapeParams, NotAFunctor,
     make_category, make_functor, full_subcategory,
-    inclusion_functor, is_full_subcategory, comma, build_shape,
+    inclusion_functor, comma, build_shape,
     funnel_monoid, is_retract, is_isomorphic, subset_predicate,
     funnel_objects, strict_funnel_category, restrict_sources,
     glossy, GlossyResult, PairMorphism, stabilizer_inclusion, coset_inclusion,
@@ -41,7 +40,7 @@ from .fincat import (
 from .diagrams import (
     Diagram, NatTrans, NotNatural, InvalidWitness,
     make_diagram, make_nat, identity_nat, compose_nat,
-    test_D_class, restrict_along, restrict_nat_along, restrict_to_subset,
+    restrict_along, restrict_nat_along, restrict_to_subset,
     left_kan, right_kan, left_kan_counit, right_kan_unit, kan,
     adjoint_transpose, glossy_formula_check, apply_value_functor,
     solve_lifting, solve_nat_lifting_zero,

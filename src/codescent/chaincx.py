@@ -270,16 +270,6 @@ def add_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     return ChainMap(f.source, f.target, comps)
 
 
-def is_degreewise_epi(f: ChainMap) -> bool:
-    p = f.prime
-    return all(_modp.rank(f.component(n), p) == f.target.dim(n) for n in f.target.dims)
-
-
-def is_degreewise_mono(f: ChainMap) -> bool:
-    p = f.prime
-    return all(_modp.rank(f.component(n), p) == f.source.dim(n) for n in f.source.dims)
-
-
 # ---------------------------------------------------------------------------
 # Homology
 # ---------------------------------------------------------------------------
@@ -298,10 +288,6 @@ def homology_dims(cx: ChainComplex) -> dict[int, int]:
             out[n] = betti
         below = above
     return out
-
-
-def is_acyclic(cx: ChainComplex) -> bool:
-    return not homology_dims(cx)
 
 
 def _homology_basis(cx: ChainComplex, n: int):

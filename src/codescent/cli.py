@@ -63,6 +63,9 @@ EXIT_FAILS = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+# Largest dimension of a value: every map, identities included, is stored
+# as a dense int64 matrix, and one of 2^16 x 2^16 entries takes 32 GiB.
+MAX_DIM = 2 ** 16
 
 
 class DataError(Exception):
@@ -171,6 +174,8 @@ def _parse_complex(payload, p, fname, path) -> ChainComplex:
         k = _as_int(k, fname, path + ".dims[%d]" % i)
         if k < 0:
             raise DataError(fname, path + ".dims[%d]" % i, "negative dimension")
+        if k > MAX_DIM:
+            raise DataError(fname, path + ".dims[%d]" % i, "dimension above %d" % MAX_DIM)
         if k:
             dims[lo + i] = k
     diff = {}
@@ -548,11 +553,11 @@ def _cmd_kan(args) -> int:
                          if phi.on_obj(b) in inst.pair.dset)
         other = phi.source
     elif args.direction == "ind":
-        out = left_kan(phi, x).diagram
+        out = left_kan(phi, x, inst.prime).diagram
         dset = frozenset(phi.on_obj(d) for d in inst.pair.d_objects)
         other = phi.target
     else:
-        out = right_kan(phi, x).diagram
+        out = right_kan(phi, x, inst.prime).diagram
         dset = frozenset(phi.on_obj(d) for d in inst.pair.d_objects)
         other = phi.target
     result = Instance(inst.prime, CatPair(other, dset), out)

@@ -5,21 +5,19 @@ of *codescent at an object c*: the canonical resolution of the diagram by
 values on D must map to the value at c by a quasi-isomorphism.  On D
 itself this holds automatically; the interesting objects are the others.
 
-Two strategies compute the resolution:
+The resolution QX is the normalized two-sided bar construction: at c,
+columns indexed by composable strings of non-identity morphisms inside the
+full subcategory on D, capped by an arbitrary morphism into c.  Two
+strategies set its bounds:
 
-* ``bar``: a normalized two-sided bar construction whose columns are
-  indexed by composable strings of non-identity morphisms inside the full
-  subcategory on D, capped by an arbitrary morphism into the object under
-  test.  When the full subcategory on D is *directed* (no non-identity
-  endomorphisms, no cycles) the strings terminate on their own and every
+* ``bar``: when the full subcategory on D is *directed* (no non-identity
+  endomorphisms, no cycles) the strings stop by length |D| - 1 and every
   verdict is exact.  Otherwise columns are truncated at a cutoff N and
   homology is only trustworthy through degree N + lo - 1 (lo = least
   degree carrying a value anywhere in the diagram): chains in the
   truncated complex agree with the untruncated one through N + lo, so
   homology classes and their comparisons are faithful strictly below the
-  last agreeing chain degree.  A verdict at c builds only QX(c) and the
-  comparison xi_c, through degree exact_through + 1 (the last one the
-  rank scan reads); ``bar_approximation`` builds the whole diagram.
+  last agreeing chain degree.
 
 * ``ind-base``: resolve the restriction to D first (identity when the
   full subcategory on D is discrete - over a field every single complex
@@ -30,11 +28,29 @@ Two strategies compute the resolution:
   (string, beta o lam), by co-Yoneda (Mac Lane, CWM X.4), and a morphism
   g acts on both by lam -> g o lam; for the identity base both are the
   sum of X(d) over the morphisms d -> c, and over an empty D both are
-  zero.  So ind-base builds the bar resolution too, for a verdict and for
-  the whole diagram (``ind_base_approximation``) alike, and differs from
-  bar only in its bounds, those of its inner resolution over (D, D): the
-  default cutoff and the lo in N + lo - 1 are those of X restricted to D,
-  and the build is exact when full(D) is discrete.
+  zero.  So ind-base builds the bar resolution too
+  (``ind_base_approximation``), and differs from bar only in its bounds,
+  those of its inner resolution over (D, D): the default cutoff and the
+  lo in N + lo - 1 are those of X restricted to D, and the build is exact
+  when full(D) is discrete.
+
+A verdict at c needs QX(c) only up to quasi-isomorphism over X(c).  QX(c)
+is P (x)_D X for P the bar resolution of M_c = F_p[hom(-, c)] restricted
+to D, a right module over the category algebra of full(D), and any free
+resolution P of M_c gives a complex quasi-isomorphic to it over X(c); the
+representables F_p[hom(-, e)] are the free modules (Webb, "An
+introduction to the representations and cohomology of categories",
+2007).  So verdicts scan a small one, built degree by degree by linear
+algebra (:func:`_resolve`, after Ellis, "Computing group resolutions",
+J. Symbolic Comput. 38, 2004): on a Z/k funnel its rank is the same in
+every degree, where the bar has (k - 1)^n strings of length n.  Cut at
+the same length N it agrees with its untruncated self through degree
+N + lo(X|D), so the bounds above hold for it unchanged, for both
+strategies; it is built through degree exact_through + 1, the last one
+the rank scan reads.  It reads nothing of X, so it is kept across calls
+(:func:`_resolution`).  The whole diagram (``approximate``) keeps the bar
+build: it must be functorial in c, which the bar resolution is on the
+nose and a small one only up to homotopy.
 
 Verdicts: ``holds`` and ``fails`` are only emitted from exact data (a
 directed pair, or a failure witnessed inside the trustworthy degree
@@ -203,45 +219,62 @@ def _paths_in(sub: FinCat, max_len: int):
     return levels
 
 
+@dataclass(frozen=True)
+class _Bounds:
+    """A strategy's bounds on a pair: directedness, the cutoff (None when
+    exact), the length N of the strings or of the resolution, and
+    ``exact_through``."""
+
+    strategy: str
+    directed: bool
+    cutoff: int | None
+    length: int
+    exact_through: float
+
+
+def _bounds(x: Diagram, pair: CatPair, cutoff: int | None, strategy: str) -> _Bounds:
+    """The bounds both builders share.  A directed pair needs strings (and
+    resolutions) of length |D| - 1 at most, so it is exact unless an
+    explicit cutoff undercuts that; otherwise N is the cutoff and the
+    build certifies degrees through N + lo - 1.
+
+    With ``strategy="ind-base"`` they are the bounds of the inner
+    resolution over (D, D): the bar bounds of X|D (its default cutoff and
+    its lo read X's values on D only), and exact when full(D) is discrete
+    (the identity base)."""
+    _check_args(x, pair, strategy, cutoff)
+    directed = is_directed_pair(pair)
+    natural = max(len(pair.dset) - 1, 0)
+    bounds = x
+    if strategy == "ind-base":
+        # X|D's values are all the bounds read; the maps play no part
+        bounds = Diagram(pair.cat, {d: x.at[d] for d in pair.d_objects}, {})
+        if not any(set(pair.cat.mor[m]) <= pair.dset for m in pair.cat.non_identity_morphisms()):
+            cutoff = None
+    if directed and (cutoff is None or int(cutoff) >= natural):
+        return _Bounds(strategy, directed, None, natural, math.inf)
+    cutoff = default_cutoff(bounds, pair) if cutoff is None else int(cutoff)
+    return _Bounds(strategy, directed, cutoff, cutoff, cutoff + bounds.lo() - 1)
+
+
 class _BarLayout:
     """The layout pass of the bar resolution of X along a pair.
 
-    It holds what every object shares: full(D), directedness, the cutoff
-    and ``exact_through``, the strings by length and the cell degrees of
-    the values on D.  Blocks, their positions and per-degree offsets are
-    laid out one object at a time, on first use (:meth:`at`).
-
-    With ``strategy="ind-base"`` the cutoff and ``exact_through`` are
-    those of the ind-base inner resolution over (D, D): the bar bounds of
-    X|D (its default cutoff and its lo read X's values on D only), and
-    exact when full(D) is discrete (the identity base).  The layout is the
-    same bar layout: the left Kan extension of the inner resolution is the
-    bar resolution (see the module docstring), so ind-base verdicts
-    (:func:`_verdicts`) and the full ind-base build (:func:`approximate`)
-    lay it out here too.
+    It holds what every object shares: full(D), the strategy's bounds
+    (:func:`_bounds`), the strings by length and the cell degrees of the
+    values on D.  Blocks, their positions and per-degree offsets are laid
+    out one object at a time, on first use (:meth:`at`).  The ind-base
+    resolution is this bar layout too, with the ind-base bounds: the left
+    Kan extension of its inner resolution is the bar resolution (see the
+    module docstring).
     """
 
     def __init__(self, x: Diagram, pair: CatPair, cutoff: int | None = None,
                  strategy: str = "bar"):
-        _check_args(x, pair, strategy, cutoff)
-        self.x, self.cat, self.strategy = x, pair.cat, strategy
+        self.bounds = _bounds(x, pair, cutoff, strategy)
+        self.x, self.cat = x, pair.cat
         self.sub = full_subcategory(pair.cat, pair.d_objects)
-        self.directed = is_directed_pair(pair)
-        natural = max(len(self.sub.objects) - 1, 0)
-        bounds = x
-        if strategy == "ind-base":
-            # X|D's values are all the bounds read; the maps play no part
-            bounds = Diagram(self.sub, {d: x.at[d] for d in self.sub.objects}, {})
-            if not self.sub.non_identity_morphisms():
-                cutoff = None
-        if self.directed and (cutoff is None or int(cutoff) >= natural):
-            max_len, self.cutoff, self.exact_through = natural, None, math.inf
-        else:
-            self.cutoff = default_cutoff(bounds, pair) if cutoff is None else int(cutoff)
-            max_len, self.exact_through = self.cutoff, self.cutoff + bounds.lo() - 1
-        # the last degree a verdict reads: it scans through exact_through
-        self.top = None if self.exact_through is math.inf else int(self.exact_through) + 1
-        self.levels = _paths_in(self.sub, max_len)
+        self.levels = _paths_in(self.sub, self.bounds.length)
         self.cells = set().union(*(x.at[d].dims for d in pair.dset))
         self._objects: dict[str, tuple] = {}
 
@@ -274,8 +307,8 @@ class _BarLayout:
         return self._objects[c]
 
 
-def _bar_complex(lay: _BarLayout, c: str, top: int | None = None) -> ChainComplex:
-    """QX(c) through total degree ``top`` (all of it when None).
+def _bar_complex(lay: _BarLayout, c: str) -> ChainComplex:
+    """QX(c).
 
     The differential of a block (d0, f_1, ..., f_n, lam) combines the
     internal differential (sign (-1)^n), X(f_1) on the coefficient (face
@@ -286,8 +319,7 @@ def _bar_complex(lay: _BarLayout, c: str, top: int | None = None) -> ChainComple
     coinciding faces add up); one ``np.mod`` reduces the whole matrix."""
     x, cat, sub, p = lay.x, lay.cat, lay.sub, lay.x.prime
     blocks, pos, offsets = lay.at(c)
-    dims = {t: sum(k for _, k in where.values())
-            for t, where in offsets.items() if top is None or t <= top}
+    dims = {t: sum(k for _, k in where.values()) for t, where in offsets.items()}
     diff = {}
     for t in dims:
         tgt = offsets.get(t - 1)
@@ -370,16 +402,17 @@ def approximate(x: Diagram, pair: CatPair, strategy: str = "bar",
     """The whole resolution QX and xi : QX -> X, for either strategy.
 
     One layout pass (:class:`_BarLayout`, which takes the strategy's
-    cutoff and ``exact_through``) and the bar diagram on it: the ind-base
-    left Kan extension is that diagram (see the module docstring).
-    Verdicts build only QX(c) and xi_c (:func:`_verdicts`); this full
-    build serves :func:`verify_cofibrant_approx`.
+    bounds) and the bar diagram on it: the ind-base left Kan extension is
+    that diagram (see the module docstring).  It serves
+    :func:`verify_cofibrant_approx`; verdicts build none of it
+    (:func:`_verdicts`).
     """
     lay = _BarLayout(x, pair, cutoff, strategy)
     qx, xi = _bar_diagram(lay)
     sizes = {c: [len(col) for col in lay.at(c)[0]] for c in lay.cat.objects}
-    return Approximation(qx, xi, pair, strategy, lay.directed, lay.cutoff,
-                         lay.exact_through, column_sizes=sizes)
+    b = lay.bounds
+    return Approximation(qx, xi, pair, strategy, b.directed, b.cutoff, b.exact_through,
+                         column_sizes=sizes)
 
 
 def bar_approximation(x: Diagram, pair: CatPair, cutoff: int | None = None) -> Approximation:
@@ -402,18 +435,152 @@ def bar_approximation(x: Diagram, pair: CatPair, cutoff: int | None = None) -> A
 
 def ind_base_approximation(x: Diagram, pair: CatPair,
                            cutoff: int | None = None) -> Approximation:
-    """Resolve on D first, then extend along the inclusion, everywhere.
-
-    The inner resolution over (D, D) is the identity when the full
-    subcategory on D is discrete (single complexes are always resolvent
-    over a field, but diagrams with real arrows are not), and otherwise
-    the bar construction.  Its left Kan extension along the full
-    inclusion is the bar resolution of X (see the module docstring), so
-    this builds that diagram, with the ind-base cutoff and
-    ``exact_through``: those of the inner resolution, read off X
-    restricted to D, and exact when D is discrete.
-    """
+    """Resolve on D first, then extend along the inclusion, everywhere:
+    the bar resolution of X with the bounds of the inner resolution, read
+    off X restricted to D and exact when full(D) is discrete (see the
+    module docstring)."""
     return approximate(x, pair, "ind-base", cutoff)
+
+
+# ---------------------------------------------------------------------------
+# Verdicts: a small free resolution of hom(-, c) on D
+# ---------------------------------------------------------------------------
+
+# Resolutions :func:`_resolution` keeps, the oldest dropped first.
+RESOLUTIONS_KEPT = 256
+_RESOLUTIONS: dict[tuple, tuple] = {}
+
+
+def _shape_key(pair: CatPair) -> tuple:
+    """All of the pair a resolution reads (FinCat is unhashable): the
+    objects, morphisms, identities and composition table, and D."""
+    cat = pair.cat
+    return (cat.objects, tuple(sorted(cat.mor.items())), tuple(sorted(cat.identity.items())),
+            tuple(sorted(cat.comp.items())), pair.d_objects)
+
+
+def _resolution(pair: CatPair, key: tuple, c: str, p: int, length: int) -> tuple:
+    """:func:`_resolve`, kept under (``key``, c, p, length): it reads
+    nothing of X, and its values are tuples of names and ints."""
+    k = (key, c, p, length)
+    if k not in _RESOLUTIONS:
+        if len(_RESOLUTIONS) >= RESOLUTIONS_KEPT:
+            del _RESOLUTIONS[next(iter(_RESOLUTIONS))]
+        _RESOLUTIONS[k] = _resolve(pair, c, p, length)
+    return _RESOLUTIONS[k]
+
+
+def _resolve(pair: CatPair, c: str, p: int, length: int) -> tuple:
+    """A free resolution P -> M_c of M_c = F_p[hom(-, c)] on full(D),
+    through P_length.
+
+    M_c is a right module over the category algebra of full(D) (f acts by
+    lam -> lam o f), and the representables F_p[hom(-, e)] are its free
+    modules.  Entry n lists the generators (e, image) of P_n: e is in D,
+    and image, the image of id_e, has terms (j, g, a) for a * g in
+    P_{n-1}(e), g : e -> e_j the object of generator j of P_{n-1} (for
+    n = 0, a * (g : e -> c) in M_c(e), with j = 0).
+
+    At each degree K is the kernel of the last map at every object of D
+    (all of M_c for P_0).  Generators are vectors of K, chosen greedily
+    object by object: first outside K.J + (the span so far), J spanned by
+    the non-invertible morphisms and by g - 1 for the automorphisms g;
+    then outside the span, so that P_n -> K is onto whatever J is.  On a
+    directed D, J is the radical: the first pass is minimal (Nakayama),
+    so P ends by length |D| - 1, and at that length the kernel after P_N
+    must vanish.
+    """
+    cat, dset, ident = pair.cat, pair.d_objects, pair.cat.identity
+    must_end = is_directed_pair(pair) and length == max(len(dset) - 1, 0)
+
+    def invertible(f: str, a: str, b: str) -> bool:
+        return any(cat.compose(g, f) == ident[a] and cat.compose(f, g) == ident[b]
+                   for g in cat.hom(b, a))
+
+    # K.J at e: K(b).f for f : e -> b non-invertible, K(e).(g - 1) for g in Aut(e)
+    radical = {e: [(f, b, invertible(f, e, b)) for b in dset for f in cat.hom(e, b)
+                   if f != ident[e]] for e in dset}
+
+    def pull(w, b, f, e):
+        """The columns of ``w``, vectors at b, moved along f : e -> b: the
+        basis vector (j, h) goes to (j, h o f)."""
+        out = _modp.zeros(len(basis[e]), w.shape[1])
+        np.add.at(out, np.array([index[e][j, cat.compose(h, f)] for j, h in basis[b]],
+                                dtype=np.intp), w)
+        return out
+
+    res, targets, index = [], (c,), None
+    for n in range(length + 1 + must_end):
+        last, basis = index, {e: [(j, h) for j, t in enumerate(targets) for h in cat.hom(e, t)]
+                              for e in dset}
+        index = {e: {jh: r for r, jh in enumerate(basis[e])} for e in dset}
+        kernel = {e: _modp.eye(len(basis[e])) for e in dset}
+        for e in dset if res else ():
+            m = _modp.zeros(len(last[e]), len(basis[e]))
+            for col, (i, h) in enumerate(basis[e]):
+                for j, g, a in res[-1][i][1]:
+                    m[last[e][j, cat.compose(g, h)], col] += a
+            kernel[e] = _modp.nullspace(np.mod(m, p, out=m), p)
+        if n > length:
+            if any(k.shape[1] for k in kernel.values()):
+                raise AssertionError("hom(-, %s) on D has no resolution of length %d"
+                                     % (c, length))
+            break
+        gens: list[tuple[str, np.ndarray]] = []
+        for first in (True, False):
+            for e in dset:
+                k = kernel[e]
+                if not k.shape[1]:
+                    continue
+                span = [pull(v, b, h, e) for b, v in gens for h in cat.hom(e, b)]
+                span += [pull(kernel[b], b, f, e) - (k if inv else 0) for f, b, inv
+                         in radical[e] if first and (b == e or not inv)]
+                done = sum(s.shape[1] for s in span)
+                _, pivots = _modp.rref(np.mod(np.hstack(span + [k]), p), p)
+                gens += [(e, k[:, q - done : q - done + 1]) for q in pivots if q >= done]
+        if not gens:
+            break
+        res.append(tuple((e, tuple((j, h, int(a)) for (j, h), a in zip(basis[e], v[:, 0]) if a))
+                         for e, v in gens))
+        targets = tuple(e for e, _ in gens)
+    return tuple(res)
+
+
+def _resolved_comparison(x: Diagram, res: tuple, c: str, top: int | None) -> ChainMap:
+    """xi_c : P (x)_D X -> X(c) through total degree ``top`` (all of it
+    when None), for a resolution ``res`` of hom(-, c) (:func:`_resolve`).
+
+    F_p[hom(-, e)] (x)_D X is X(e) (co-Yoneda), so P_n (x)_D X is the sum
+    of X(e) over the generators (e, image) of P_n, shifted up by n.  The
+    differential of a generator's block is the internal one with sign
+    (-1)^n, plus a * X(g) into block j for each term (j, g, a) of its
+    image; on P_0 those terms make xi_c, a * X(lam) into X(c)."""
+    p, where, dims = x.prime, {}, {}
+    for n, level in enumerate(res):
+        for i, (e, _) in enumerate(level):
+            for j, k in x.at[e].dims.items():
+                if top is None or j + n <= top:
+                    where.setdefault(j + n, {})[n, i] = (dims.get(j + n, 0), k)
+                    dims[j + n] = dims.get(j + n, 0) + k
+    diff, comps = {}, {}
+    for t, cols in where.items():
+        rows = where.get(t - 1, {})
+        d, xi = _modp.zeros(dims.get(t - 1, 0), dims[t]), _modp.zeros(x.at[c].dim(t), dims[t])
+        for (n, i), (off, k) in cols.items():
+            e, image = res[n][i]
+            blocks = [((n, i), x.at[e].d(t - n) * (-1) ** n)]
+            blocks += [((n - 1, j), a * x.on[g].component(t - n)) for j, g, a in image]
+            for into, blk in blocks:  # block (-1, 0) is X(c)
+                if into[0] < 0:
+                    xi[:, off : off + k] += blk
+                elif into in rows:
+                    r = rows[into][0]
+                    d[r : r + blk.shape[0], off : off + k] += blk
+        for out, m in ((diff, d), (comps, xi)):
+            np.mod(m, p, out=m)
+            if m.any():
+                out[t] = m
+    return ChainMap(ChainComplex(p, dims, diff), x.at[c], comps)
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +593,19 @@ def _verdict_for_map(f: ChainMap, exact_through) -> CodescentVerdict:
 
 
 def _verdicts(x: Diagram, pair: CatPair, objects, strategy: str, cutoff: int | None):
-    """The layout pass, and the verdicts at ``objects`` outside D.  Each
-    verdict builds only xi_c : QX(c) -> X(c), through degree exact_through
-    + 1 (the scan reads d_{through + 1} and nothing higher), and scans it
-    at once.  Both strategies scan the bar complex QX(c), with their own
-    cutoff, ``top`` and ``exact_through`` (:class:`_BarLayout`; see the
-    module docstring for why ind-base scans it too)."""
-    lay = _BarLayout(x, pair, cutoff, strategy)
-    return lay, {c: _verdict_for_map(_bar_comparison(lay, c, _bar_complex(lay, c, lay.top)),
-                                     lay.exact_through) for c in objects}
+    """The strategy's bounds (:func:`_bounds`), and the verdicts at
+    ``objects`` outside D.  Each scans xi_c : P (x)_D X -> X(c) for the
+    small free resolution P of hom(-, c) on D, cut at the bounds' length N
+    (:func:`_resolved_comparison`), through degree exact_through + 1: the
+    scan reads d_{through + 1} and nothing higher.  It has the homology of
+    QX(c) over X(c) through exact_through, so the verdicts are the bar
+    complex's (see the module docstring)."""
+    b = _bounds(x, pair, cutoff, strategy)
+    top = None if b.exact_through is math.inf else int(b.exact_through) + 1
+    key = _shape_key(pair) if objects else None
+    return b, {c: _verdict_for_map(_resolved_comparison(
+        x, _resolution(pair, key, c, x.prime, b.length), c, top), b.exact_through)
+        for c in objects}
 
 
 def codescent_at(x: Diagram, pair: CatPair, c: str, strategy: str = "bar",

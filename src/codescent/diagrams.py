@@ -33,7 +33,6 @@ from .chaincx import (
     PrimeMismatch, ShapeMismatch, NonCommutingSquare,
     compose, direct_sum, finite_colimit, finite_limit, identity_map,
     tensor, tensor_maps, zero_complex, zero_map,
-    is_quasi_iso, is_degreewise_epi,
 )
 from .fincat import (
     CommaCat, FinCat, FunctorData, NotAFunctor, UnknownObject,
@@ -195,29 +194,6 @@ def compose_nat(eta2: NatTrans, eta1: NatTrans) -> NatTrans:
     return NatTrans(eta1.source, eta2.target, comps)
 
 
-def test_D_class(eta: NatTrans, dset, kind: str = "weq"):
-    """Is a transformation a weak equivalence / fibration over a subset?
-
-    ``kind``: "weq" (quasi-isomorphism componentwise on ``dset``), "fib"
-    (degreewise surjection), "triv_fib" (both).  Returns ``(ok, detail)``
-    with a per-object breakdown.
-    """
-    detail = {}
-    for a in eta.source.cat.objects:
-        if a not in set(dset):
-            continue
-        f = eta.comps[a]
-        if kind == "weq":
-            detail[a] = is_quasi_iso(f)
-        elif kind == "fib":
-            detail[a] = is_degreewise_epi(f)
-        elif kind == "triv_fib":
-            detail[a] = is_quasi_iso(f) and is_degreewise_epi(f)
-        else:
-            raise BadShapeParams("unknown kind %r" % kind)
-    return all(detail.values()), detail
-
-
 # ---------------------------------------------------------------------------
 # Restriction
 # ---------------------------------------------------------------------------
@@ -296,10 +272,13 @@ def right_mate(rk: RightKan, x: Diagram, eta: dict) -> dict[str, ChainMap]:
             for c in rk.diagram.cat.objects}
 
 
-def left_kan(phi: FunctorData, y: Diagram) -> LeftKan:
+def left_kan(phi: FunctorData, y: Diagram, prime: int | None = None) -> LeftKan:
+    """Objectwise colimits over the commas (a, beta : Phi(a) -> c), zero
+    where a comma is empty.  Y on an empty category has no prime to give
+    those zeros (reading it raises ShapeMismatch): pass it as ``prime``."""
     if y.cat != phi.source:
         raise NotAFunctor("diagram does not live on the functor's source")
-    p = y.prime if y.at else 2
+    p = prime if prime is not None and not y.at else y.prime
     commas: dict[str, CommaCat] = {}
     colimits: dict[str, Colimit] = {}
     at: dict[str, ChainComplex] = {}
@@ -337,10 +316,12 @@ def left_kan(phi: FunctorData, y: Diagram) -> LeftKan:
     return LeftKan(lk, unit, commas, colimits)
 
 
-def right_kan(phi: FunctorData, y: Diagram) -> RightKan:
+def right_kan(phi: FunctorData, y: Diagram, prime: int | None = None) -> RightKan:
+    """Objectwise limits over the commas (a, beta : c -> Phi(a)); ``prime``
+    as for :func:`left_kan`."""
     if y.cat != phi.source:
         raise NotAFunctor("diagram does not live on the functor's source")
-    p = y.prime if y.at else 2
+    p = prime if prime is not None and not y.at else y.prime
     commas: dict[str, CommaCat] = {}
     limits: dict[str, Limit] = {}
     at: dict[str, ChainComplex] = {}
@@ -381,7 +362,7 @@ def right_kan(phi: FunctorData, y: Diagram) -> RightKan:
 def left_kan_counit(phi: FunctorData, x: Diagram, lk: LeftKan | None = None) -> NatTrans:
     """Counit (extension of a restriction) -> (original diagram)."""
     if lk is None:
-        lk = left_kan(phi, restrict_along(phi, x))
+        lk = left_kan(phi, restrict_along(phi, x), x.prime)
     ident = {a: identity_map(x.at[phi.on_obj(a)]) for a in phi.source.objects}
     return make_nat(lk.diagram, x, left_mate(lk, x, ident))
 
@@ -389,17 +370,18 @@ def left_kan_counit(phi: FunctorData, x: Diagram, lk: LeftKan | None = None) -> 
 def right_kan_unit(phi: FunctorData, x: Diagram, rk: RightKan | None = None) -> NatTrans:
     """Unit (original diagram) -> (extension of its restriction)."""
     if rk is None:
-        rk = right_kan(phi, restrict_along(phi, x))
+        rk = right_kan(phi, restrict_along(phi, x), x.prime)
     ident = {a: identity_map(x.at[phi.on_obj(a)]) for a in phi.source.objects}
     return make_nat(x, rk.diagram, right_mate(rk, x, ident))
 
 
-def kan(direction: str, phi: FunctorData, x: Diagram):
-    """Uniform entry point: "ind" (left), "ext" (right) or "res"."""
+def kan(direction: str, phi: FunctorData, x: Diagram, prime: int | None = None):
+    """Uniform entry point: "ind" (left), "ext" (right) or "res";
+    ``prime`` as for :func:`left_kan`."""
     if direction == "ind":
-        return left_kan(phi, x).diagram
+        return left_kan(phi, x, prime).diagram
     if direction == "ext":
-        return right_kan(phi, x).diagram
+        return right_kan(phi, x, prime).diagram
     if direction == "res":
         return restrict_along(phi, x)
     raise BadShapeParams("direction must be one of ind/ext/res")
@@ -434,12 +416,12 @@ def adjoint_transpose(direction: str, phi: FunctorData, eta: NatTrans,
             y = eta.source
             if eta.target != restrict_along(phi, x):
                 raise NotNatural("transformation does not land in the restriction")
-            lk = left_kan(phi, y)
+            lk = left_kan(phi, y, x.prime)
             return make_nat(lk.diagram, x, left_mate(lk, x, eta.comps))
         if to == "source":
             y = against
             x = eta.target
-            lk = left_kan(phi, y)
+            lk = left_kan(phi, y, x.prime)
             if eta.source != lk.diagram:
                 raise NotNatural("transformation does not start at the extension")
             res_eta = restrict_nat_along(phi, eta)
@@ -450,12 +432,12 @@ def adjoint_transpose(direction: str, phi: FunctorData, eta: NatTrans,
             y = eta.target
             if eta.source != restrict_along(phi, x):
                 raise NotNatural("transformation does not start at the restriction")
-            rk = right_kan(phi, y)
+            rk = right_kan(phi, y, x.prime)
             return make_nat(x, rk.diagram, right_mate(rk, x, eta.comps))
         if to == "source":
             y = against
             x = eta.source
-            rk = right_kan(phi, y)
+            rk = right_kan(phi, y, x.prime)
             if eta.target != rk.diagram:
                 raise NotNatural("transformation does not land in the extension")
             res_eta = restrict_nat_along(phi, eta)

@@ -294,18 +294,6 @@ def inclusion_functor(sub: FinCat, amb: FinCat) -> FunctorData:
     return FunctorData(sub, amb, {a: a for a in sub.objects}, {m: m for m in sub.mor})
 
 
-def is_full_subcategory(sub: FinCat, amb: FinCat) -> bool:
-    try:
-        make_functor(sub, amb, {a: a for a in sub.objects}, {m: m for m in sub.mor})
-    except (NotAFunctor, KeyError):
-        return False
-    for a in sub.objects:
-        for b in sub.objects:
-            if set(sub.hom(a, b)) != set(amb.hom(a, b)):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Comma categories
 # ---------------------------------------------------------------------------
@@ -528,6 +516,26 @@ def build_shape(name: str, **params) -> CatPair:
         default = frozenset({"x0"}) if n else frozenset()
         dset = frozenset(params.get("dset", default))
         return CatPair(cat, dset)
+
+    if name == "iso_pair":
+        # d1 ~ d2 by u and v = u^-1, and a2 = a1 o v into c
+        mor = {"id_d1": ("d1", "d1"), "id_d2": ("d2", "d2"), "id_c": ("c", "c"),
+               "u": ("d1", "d2"), "v": ("d2", "d1"), "a1": ("d1", "c"), "a2": ("d2", "c")}
+        comp = {("v", "u"): "id_d1", ("u", "v"): "id_d2", ("a1", "v"): "a2", ("a2", "u"): "a1"}
+        cat = FinCat(("d1", "d2", "c"), mor, {"d1": "id_d1", "d2": "id_d2", "c": "id_c"}, comp)
+        return CatPair(cat, frozenset({"d1", "d2"}))
+
+    if name == "retract_pair":
+        # d1 is a retract of d2: r o s = id_d1, and s o r = e is idempotent;
+        # a leaves d2 for c, with ae = a o e and as = a o s
+        mor = {"id_d1": ("d1", "d1"), "id_d2": ("d2", "d2"), "id_c": ("c", "c"),
+               "s": ("d1", "d2"), "r": ("d2", "d1"), "e": ("d2", "d2"),
+               "a": ("d2", "c"), "ae": ("d2", "c"), "as": ("d1", "c")}
+        comp = {("r", "s"): "id_d1", ("s", "r"): "e", ("e", "e"): "e", ("e", "s"): "s",
+                ("r", "e"): "r", ("a", "s"): "as", ("ae", "s"): "as", ("as", "r"): "ae",
+                ("a", "e"): "ae", ("ae", "e"): "ae"}
+        cat = FinCat(("d1", "d2", "c"), mor, {"d1": "id_d1", "d2": "id_d2", "c": "id_c"}, comp)
+        return CatPair(cat, frozenset({"d1", "d2"}))
 
     if name == "funnel_monoid":
         return funnel_monoid(**params)

@@ -11,9 +11,12 @@ makes stays checked:
 
 * every complex is valid and already in the normal form of
   ``make_complex`` (no zero-dimensional degree, no all-zero differential),
-  the QX(c) a verdict builds on its own included;
+  the P (x)_D X a verdict scans included;
 * every structure map, unit, counit, comparison (a verdict's xi_c
   included) and (co)limit leg is a chain map (``make_map``);
+* every resolution of hom(-, c) on D a verdict reads is one, checked by
+  the row reduction of ``oracles.py``: onto hom(-, c), exact through its
+  length, and injective at its end where it stopped early or must stop;
 * functor and naturality laws hold (``make_diagram``, ``make_nat``), and
   colimit injections and limit projections are natural along every
   morphism of the shape, the colimits of a left Kan extension included;
@@ -39,8 +42,11 @@ import pytest
 
 import codescent.cli  # noqa: F401  (loads every module that binds a builder)
 from codescent.chaincx import NonCommutingSquare, compose, make_complex, make_map
+from codescent.codescent import is_directed_pair
 from codescent.diagrams import compose_nat, make_diagram, make_nat
 from codescent.fincat import make_category, make_functor, subset_predicate
+
+import oracles
 
 SEED = 20260825
 
@@ -113,11 +119,43 @@ def _check_nat_lifting(h, p_nat, bottom):
             raise AssertionError("filler misses the triangle of its lifting square")
 
 
-def _check_bar_complex(cx, *args, **kwargs):
-    check_complex(cx)
+def _check_resolution(res, pair, c, p, length):
+    """At every object e of D, the maps P_0(e) -> F_p[hom(e, c)] and
+    P_n(e) -> P_{n-1}(e), rebuilt from the generators' images, form an
+    exact sequence: onto hom(e, c), each map composed with the next is
+    zero, ranks add up to the dimension between them, and the last map is
+    injective where P stopped before ``length``, or must stop there (a
+    directed D and length |D| - 1: every exact verdict reads that one)."""
+    cat = pair.cat
+    must_end = is_directed_pair(pair) and length == max(len(pair.dset) - 1, 0)
+    if len(res) > length + 1:
+        raise AssertionError("a resolution longer than %d" % length)
+    for e in pair.d_objects:
+        bases = [[(0, g) for g in cat.hom(e, c)]]
+        bases += [[(i, h) for i, (gen, _) in enumerate(level) for h in cat.hom(e, gen)]
+                  for level in res]
+        maps = []
+        for n, level in enumerate(res):
+            rows = {b: r for r, b in enumerate(bases[n])}
+            m = oracles.mat_zero(len(bases[n]), len(bases[n + 1]))
+            for col, (i, h) in enumerate(bases[n + 1]):
+                for j, g, a in level[i][1]:
+                    m[rows[j, cat.compose(g, h)]][col] += a
+            maps.append(m)
+        ranks = [oracles.rank_of(m, p) for m in maps]
+        if maps and ranks[0] != len(bases[0]):
+            raise AssertionError("P_0 -> hom(-, %s) is not onto at %s" % (c, e))
+        for n in range(1, len(maps)):
+            if any(v % p for row in oracles.mat_mul(maps[n - 1], maps[n], p) for v in row):
+                raise AssertionError("d o d is not zero at P_%d(%s)" % (n, e))
+            if ranks[n - 1] + ranks[n] != len(bases[n]):
+                raise AssertionError("P is not exact at P_%d(%s)" % (n - 1, e))
+        if maps and (must_end or len(res) <= length) and ranks[-1] != len(bases[-1]):
+            raise AssertionError("the last map of P is not injective at %s" % e)
 
 
-def _check_comparison(f, *args, **kwargs):
+def _check_resolved_comparison(f, *args, **kwargs):
+    check_complex(f.source)
     check_map(f)
 
 
@@ -169,8 +207,8 @@ def _check_restriction(x, *args, **kwargs):
 CHECKS = {
     "codescent.codescent": {"bar_approximation": _check_approximation,
                             "ind_base_approximation": _check_approximation,
-                            "_bar_complex": _check_bar_complex,
-                            "_bar_comparison": _check_comparison,
+                            "_resolve": _check_resolution,
+                            "_resolved_comparison": _check_resolved_comparison,
                             "_bar_diagram": _check_bar_diagram},
     "codescent.diagrams": {"left_kan": _check_left_kan,
                            "right_kan": _check_right_kan,

@@ -171,6 +171,18 @@ def test_non_integer_entry_exits_65_with_its_path(capsys, tmp_path, entry):
     assert "at $.diagram.at.c.diff.1[0]:" in err
 
 
+@pytest.mark.parametrize("dim", [2 ** 16 + 1, 2 ** 70])
+def test_a_dimension_too_large_to_store_exits_65_at_its_path(capsys, tmp_path, dim):
+    # the identity map filled in at c would be a dim x dim dense matrix
+    payload = json.loads(_arrow_with(tmp_path).read_text())
+    payload["diagram"]["at"]["c"] = {"lo": 0, "dims": [1, dim]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "validate", path)
+    assert code == 65
+    assert "at $.diagram.at.c.dims[1]:" in err
+
+
 @pytest.mark.parametrize("entry", [2 ** 70 + 1, -(2 ** 70), 2 ** 63])
 def test_integer_entries_of_any_size_reduce_mod_p(tmp_path, entry):
     inst = parse_instance(str(_arrow_with(tmp_path, prime=3, entry=entry,

@@ -229,10 +229,13 @@ def test_locus_report_partitions_objects(rng):
 # ---------------------------------------------------------------------------
 
 # what each strategy's full build calls; a verdict must call none of them,
-# and no left Kan extension either
-FULL_BUILDS = {"bar": (cmod.bar_approximation, cmod.approximate, cmod._bar_diagram),
+# no piece of the bar build and no left Kan extension either
+BAR_PIECES = (cmod._BarLayout, cmod._paths_in, cmod._bar_complex, cmod._bar_comparison,
+              fincat.full_subcategory)
+FULL_BUILDS = {"bar": (cmod.bar_approximation, cmod.approximate, cmod._bar_diagram)
+               + BAR_PIECES,
                "ind-base": (cmod.ind_base_approximation, cmod.approximate,
-                            cmod._bar_diagram, diagrams.left_kan)}
+                            cmod._bar_diagram, diagrams.left_kan) + BAR_PIECES}
 
 
 def _forbid(stack, builders):
@@ -245,8 +248,9 @@ def _forbid(stack, builders):
 
 
 def _verdict_build(x, pair, c, cutoff, strategy="bar"):
-    """codescent_at's verdict at c and the xi_c : QX(c) -> X(c) it
-    scanned; the full resolution must not be built on the way."""
+    """codescent_at's verdict at c and the xi_c : P (x)_D X -> X(c) it
+    scanned; neither the full resolution nor any piece of the bar build
+    may be built on the way."""
     scanned, scan = [], cmod._verdict_for_map
 
     def record(f, exact_through):
@@ -280,20 +284,26 @@ def _case_diagram(draw, pair):
 
 
 def _assert_verdicts_read_the_full_build(x, pair, cutoff, strategy, full):
-    """At every c outside D the verdict path scans the full build's xi_c
-    cut above exact_through + 1, and its verdict is the full build's and
-    the locus's, and the locus reports the full build's cutoff and
-    exact_through.  Returns the locus report."""
-    top = full.exact_through + 1
+    """At every c outside D the verdict path scans xi_c : P (x)_D X -> X(c)
+    cut above exact_through + 1: the uncut map on the same resolution,
+    cut there.  Through exact_through its source has the homology of the
+    full build's QX(c), its verdict is the full build's and the locus's,
+    and the locus reports the full build's cutoff and exact_through.
+    Returns the locus report."""
+    top, through = full.exact_through + 1, full.exact_through
     report = codescent_locus(x, pair, strategy, cutoff)
     assert (report.strategy, report.directed, report.cutoff, report.exact_through) \
         == (full.strategy, full.directed, full.cutoff, full.exact_through)
+    bounds = cmod._bounds(x, pair, cutoff, strategy)
     for c in pair.complement:
         v, xi_c = _verdict_build(x, pair, c, cutoff, strategy)
-        want = _below(full.xi.comps[c], top)
+        res = cmod._resolution(pair, cmod._shape_key(pair), c, x.prime, bounds.length)
+        want = _below(cmod._resolved_comparison(x, res, c, None), top)
         assert xi_c.source == want.source
         assert xi_c.source.diff.keys() == want.source.diff.keys()
         assert xi_c == want
+        assert {n: b for n, b in homology_dims(xi_c.source).items() if n <= through} \
+            == {n: b for n, b in homology_dims(full.diagram.at[c]).items() if n <= through}
         assert v == report.verdicts[c] == _verdict_for_map(full.xi.comps[c],
                                                            full.exact_through)
     return report
@@ -359,19 +369,17 @@ def _lan_reference(x, pair, cutoff):
     Returns (directed, cutoff, exact_through) and the values of QX and xi
     by object."""
     sub = fincat.full_subcategory(pair.cat, pair.d_objects)
-    if not sub.objects:  # left_kan cannot read the prime of an empty diagram
-        at = {a: zero_complex(x.prime) for a in pair.cat.objects}
-        return (True, None, math.inf), at, {a: zero_map(at[a], x.at[a]) for a in at}
     incl = fincat.inclusion_functor(sub, pair.cat)
     res_x = diagrams.restrict_along(incl, x)
     if sub.non_identity_morphisms():
         lay = cmod._BarLayout(res_x, CatPair(sub, frozenset(sub.objects)), cutoff)
         inner, zeta = cmod._bar_diagram(lay)
-        bounds, zeta = (lay.directed, lay.cutoff, lay.exact_through), zeta.comps
+        b = lay.bounds
+        bounds, zeta = (b.directed, b.cutoff, b.exact_through), zeta.comps
     else:
         inner, zeta = res_x, {d: identity_map(res_x.at[d]) for d in sub.objects}
         bounds = True, None, math.inf
-    lk = diagrams.left_kan(incl, inner)
+    lk = diagrams.left_kan(incl, inner, x.prime)  # an empty D has no prime of its own
     return bounds, lk.diagram.at, diagrams.left_mate(lk, x, zeta)
 
 
@@ -426,16 +434,20 @@ def test_ind_base_verdict_path_builds_nothing_above_exact_through_plus_one():
 
 
 def test_an_ind_base_verdict_runs_one_layout_pass():
-    # the bounds come from full(D) and X's values on D: no inclusion
-    # functor, no restricted diagram, and full(D) and its strings once
+    # the bounds come from X's values on D in one pass, and hom(-, c) is
+    # resolved once and then read from the cache: no inclusion functor, no
+    # restricted diagram, no full(D) and no strings
     pair, x = z2_funnel_acyclic_tail()
-    counted = ("full_subcategory", "_paths_in")
+    counted = ("_bounds", "_resolve")
+    cmod._RESOLUTIONS.clear()
     with contextlib.ExitStack() as stack:
         spies = {name: stack.enter_context(mock.patch.object(
             cmod, name, wraps=getattr(cmod, name))) for name in counted}
-        _forbid(stack, (fincat.inclusion_functor, diagrams.restrict_along))
+        _forbid(stack, (fincat.inclusion_functor, diagrams.restrict_along) + BAR_PIECES)
         report = codescent_locus(x, pair, "ind-base", 3)
-    assert {name: spy.call_count for name, spy in spies.items()} == dict.fromkeys(counted, 1)
+        assert codescent_locus(x, pair, "ind-base", 3) == report
+    assert {name: spy.call_count for name, spy in spies.items()} \
+        == {"_bounds": 2, "_resolve": 1}
     assert (report.cutoff, report.exact_through) == (3, 2)
 
 
@@ -447,6 +459,124 @@ def test_ind_base_verdicts_build_no_comma_category_and_no_colimit():
         report = codescent_locus(x, pair, "ind-base", 3)
     assert report.verdicts == codescent_locus(x, pair, "bar", 3).verdicts
     assert report.failures == ("c",)
+
+
+# ---------------------------------------------------------------------------
+# the verdict path against the bar route, and its resolutions
+# ---------------------------------------------------------------------------
+
+REFERENCE_SHAPES = {
+    "arrow": build_shape("arrow"),
+    "multi_arrow": build_shape("multi_arrow", n=2),
+    "commutative_square": build_shape("commutative_square"),
+    "free_square": build_shape("free_square"),
+    "discrete": build_shape("discrete", n=2),
+    "empty_D": build_shape("discrete", n=2, dset=[]),
+    "terminal_extension": build_shape("terminal_extension", n=2),
+    "funnel2": funnel_monoid(k=2),
+    "funnel3": funnel_monoid(k=3),
+    "funnel_tail": funnel_monoid(index=1, period=2),
+    "iso_pair": build_shape("iso_pair"),
+    "retract_pair": build_shape("retract_pair"),
+}
+
+
+def _bar_reference(x, pair, strategy, cutoff):
+    """The bar route: the strategy's bounds, and the verdicts that scanning
+    each uncut QX(c) gives."""
+    lay = cmod._BarLayout(x, pair, cutoff, strategy)
+    through = lay.bounds.exact_through
+    return lay.bounds, {c: _verdict_for_map(
+        cmod._bar_comparison(lay, c, cmod._bar_complex(lay, c)), through)
+        for c in pair.complement}
+
+
+@st.composite
+def reference_cases(draw):
+    """Every catalogue shape (the non-directed two-object isomorphism and
+    retract pairs included), the Z/2 and Z/3 funnels and a monoid with a
+    tail, at cutoffs None and 0 to 4, with either strategy."""
+    pair = REFERENCE_SHAPES[draw(st.sampled_from(sorted(REFERENCE_SHAPES)))]
+    return (pair, _case_diagram(draw, pair), draw(st.sampled_from((None, 0, 1, 2, 3, 4))),
+            draw(st.sampled_from(("bar", "ind-base"))))
+
+
+ISO_PAIR, RETRACT_PAIR = REFERENCE_SHAPES["iso_pair"], REFERENCE_SHAPES["retract_pair"]
+
+
+@given(reference_cases())
+@example((ISO_PAIR, constant_diagram(ISO_PAIR.cat, sphere(3, 0)), None, "bar"))
+@example((RETRACT_PAIR, constant_diagram(RETRACT_PAIR.cat, sphere(2, 0)), 2, "ind-base"))
+@example((*z2_funnel_acyclic_tail(), 3, "ind-base"))
+@settings(max_examples=300, deadline=None)
+def test_verdicts_are_the_bar_routes(case):
+    pair, x, cutoff, strategy = case
+    bounds, want = _bar_reference(x, pair, strategy, cutoff)
+    report = codescent_locus(x, pair, strategy, cutoff)
+    assert (report.directed, report.cutoff, report.exact_through) \
+        == (bounds.directed, bounds.cutoff, bounds.exact_through)
+    assert {c: report.verdicts[c] for c in pair.complement} == want
+
+
+DIRECTED_SHAPES = [("arrow", {}), ("multi_arrow", {"n": 3}), ("commutative_square", {}),
+                   ("free_square", {}), ("terminal_extension", {"n": 3}),
+                   ("terminal_extension", {"base": build_shape("commutative_square").cat})]
+
+
+@pytest.mark.parametrize("name, params", DIRECTED_SHAPES)
+def test_an_exact_resolution_ends_by_length_D_minus_one(name, params):
+    # on a directed D the first pass picks a minimal set of generators, so
+    # P is the minimal resolution; at N = |D| - 1, the length every exact
+    # verdict reads, _resolve raises unless the kernel after P_N vanishes,
+    # and the conftest hook checks that P_N -> P_{N-1} is injective
+    pair = build_shape(name, **params)
+    natural = max(len(pair.dset) - 1, 0)
+    assert is_directed_pair(pair)
+    for c in pair.complement:
+        for p in (2, 3):
+            assert len(cmod._resolve(pair, c, p, natural)) <= natural + 1
+
+
+def test_the_end_of_an_exact_resolution_is_checked():
+    # F_2 = hom(-, c) on the Z/2 funnel's D = {d} has no finite resolution
+    # over F_2[Z/2]; were the pair directed, an exact verdict would read
+    # P_0 alone (|D| - 1 = 0), and the kernel of P_0 -> F_2 would stop it
+    pair = funnel_monoid(k=2)
+    assert [len(level) for level in cmod._resolve(pair, "c", 2, 0)] == [1]
+    with mock.patch.object(cmod, "is_directed_pair", return_value=True):
+        with pytest.raises(AssertionError, match="no resolution of length 0"):
+            cmod._resolve(pair, "c", 2, 0)
+
+
+def test_resolutions_are_kept_apart_by_composition_prime_and_length():
+    # Z/3 and the monoid <t | t^3 = t> share every object and morphism
+    # name; only their composition tables differ
+    group, monoid = funnel_monoid(k=3), funnel_monoid(index=1, period=2)
+    assert (group.cat.objects, group.cat.mor) == (monoid.cat.objects, monoid.cat.mor)
+    assert group.cat.comp != monoid.cat.comp
+    cmod._RESOLUTIONS.clear()
+    runs = [(group, 3, 3), (monoid, 3, 3), (group, 2, 3), (group, 3, 4), (group, 3, 3)]
+    with mock.patch.object(cmod, "_resolve", wraps=cmod._resolve) as spy:
+        for pair, p, cutoff in runs:
+            x = constant_diagram(pair.cat, sphere(p, 0))
+            _, want = _bar_reference(x, pair, "bar", cutoff)
+            assert codescent_at(x, pair, "c", "bar", cutoff) == want["c"]
+    assert spy.call_count == 4  # only the last run is a hit
+    assert [(c, p, n) for (_, c, p, n) in cmod._RESOLUTIONS] \
+        == [("c", 3, 3), ("c", 3, 3), ("c", 2, 3), ("c", 3, 4)]
+    assert len(set(cmod._RESOLUTIONS.values())) == 4
+
+
+def test_the_resolution_cache_is_bounded_and_holds_immutable_values(monkeypatch):
+    monkeypatch.setattr(cmod, "RESOLUTIONS_KEPT", 2)
+    cmod._RESOLUTIONS.clear()
+    pair = funnel_monoid(k=2)
+    x = constant_diagram(pair.cat, sphere(2, 0))
+    for cutoff in range(4):
+        codescent_at(x, pair, "c", "bar", cutoff)
+    assert [n for (*_, n) in cmod._RESOLUTIONS] == [2, 3]  # the newest two
+    for res in cmod._RESOLUTIONS.values():
+        hash(res)  # tuples of names and ints all the way down
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from codescent import (
     NotAFunctor,
     NotNatural,
     PrimeMismatch,
+    ShapeMismatch,
     UnknownObject,
     adjoint_transpose,
     apply_value_functor,
@@ -38,7 +39,6 @@ from codescent import (
     zero_complex,
     zero_map,
 )
-from codescent import test_D_class as classify_D  # avoid pytest collection
 from codescent.selftest import constant_diagram, random_diagram, representable_cell
 
 
@@ -112,21 +112,6 @@ def test_identity_and_composition_of_nats():
     assert compose_nat(ident, ident) == ident
 
 
-def test_D_class_kinds():
-    pair, x = arrow_diagram()
-    ident = identity_nat(x)
-    ok, detail = classify_D(ident, {"d"}, kind="triv_fib")
-    assert ok and detail == {"d": True}
-    y = make_diagram(pair.cat, {"d": zero_complex(2), "c": zero_complex(2)},
-                     {"alpha": zero_map(zero_complex(2), zero_complex(2))})
-    to_zero = make_nat(x, y, {a: zero_map(x.at[a], y.at[a])
-                              for a in pair.cat.objects})
-    ok, _ = classify_D(to_zero, {"d"}, kind="weq")
-    assert not ok
-    with pytest.raises(BadShapeParams):
-        classify_D(ident, {"d"}, kind="fibrous")
-
-
 # ---------------------------------------------------------------------------
 # restriction
 # ---------------------------------------------------------------------------
@@ -176,6 +161,21 @@ def test_left_kan_computes_coinvariants():
     y = make_diagram(sub, {"d": two}, {"m1": swap})
     lk = left_kan(incl, y)
     assert lk.diagram.at["c"].dims == {0: 1}
+
+
+def test_kan_extensions_from_the_empty_category_keep_the_prime():
+    # every comma is empty, so every value is zero, over X's F_3: the
+    # counit and the unit are transformations over F_3
+    pair = build_shape("discrete", n=2, dset=[])
+    x = make_diagram(pair.cat, {"x0": sphere(3, 0), "x1": disk(3, 1)}, {})
+    y, incl = restrict_to_subset(x, [])
+    counit, unit = left_kan_counit(incl, x), right_kan_unit(incl, x)
+    for eta in (counit, unit):
+        assert {f.prime for f in eta.comps.values()} == {3}
+    assert all(not cx.dims for cx in counit.source.at.values())
+    assert left_kan(incl, y, 3).diagram.at["x0"].prime == 3
+    with pytest.raises(ShapeMismatch, match="no prime"):
+        left_kan(incl, y)  # an empty diagram has no prime to read
 
 
 def test_right_kan_copies_backwards_and_zeroes_empty_commas():

@@ -16,7 +16,6 @@ from codescent import (
     funnel_objects,
     glossy,
     inclusion_functor,
-    is_full_subcategory,
     is_isomorphic,
     is_retract,
     make_category,
@@ -194,7 +193,7 @@ def test_full_subcategory_and_inclusion():
     assert set(sub.objects) == {"e", "c"}
     assert sub.hom("e", "c") == ["gamma"]
     inclusion_functor(sub, pair.cat)  # the conftest hook runs make_functor on it
-    assert is_full_subcategory(sub, pair.cat)
+    assert all(sub.hom(a, b) == pair.cat.hom(a, b) for a in sub.objects for b in sub.objects)
 
 
 def test_full_subcategory_unknown_object():
@@ -207,7 +206,7 @@ def test_non_full_subcategory_detected():
     cut = strict_funnel_category(pair.cat, set(), "d")
     # only the identity endomorphism of d survives
     assert cut.morphisms() == ["m0"]
-    assert not is_full_subcategory(cut, pair.cat)
+    assert cut.hom("d", "d") != pair.cat.hom("d", "d")
 
 
 def test_comma_of_funnel_is_translation_category():

@@ -81,16 +81,36 @@ def test_the_hook_rejects_a_filler_missing_one_triangle(revalidation):
         revalidation.checks["solve_lifting"](zero_map(s, s), i, p_map, top, bottom)
 
 
-def test_the_hook_rejects_planted_bar_verdict_faults(revalidation):
-    # the QX(c) and xi_c that a bar verdict builds without the full resolution
+def test_the_hook_rejects_planted_verdict_faults(revalidation):
+    # the P (x)_D X and xi_c that a verdict scans
+    check = revalidation.checks["_resolved_comparison"]
     stored_zero = ChainComplex(2, {0: 1, 1: 1}, {1: zeros(1, 1)})
     with pytest.raises(AssertionError, match="normal form"):
-        revalidation.checks["_bar_complex"](stored_zero)
+        check(ChainMap(stored_zero, zero_complex(2), {}))
     disk = ChainComplex(2, {0: 1, 1: 1}, {1: np.ones((1, 1), dtype=np.int64)})
     # identity in degree 0 only: f_0 o d_1 = 1 but d_1 o f_1 = 0
     with pytest.raises(ChainError):
-        revalidation.checks["_bar_comparison"](
-            ChainMap(disk, sphere(2, 0), {0: np.ones((1, 1), dtype=np.int64)}))
+        check(ChainMap(disk, sphere(2, 0), {0: np.ones((1, 1), dtype=np.int64)}))
+
+
+def test_the_hook_rejects_planted_resolution_faults(revalidation):
+    # hom(-, c) on the square's D: P_0 = F[hom(-, d1)] + F[hom(-, d2)] onto
+    # beta1 and beta2, P_1 = F[hom(-, e)] onto alpha1 - alpha2, and no more
+    square = build_shape("commutative_square")
+    check = revalidation.checks["_resolve"]
+    res = revalidation.wrappers["_resolve"].__wrapped__(square, "c", 3, 2)
+    check(res, square, "c", 3, 2)
+    assert [[gen for gen, _ in level] for level in res] == [["d1", "d2"], ["e"]]
+    with pytest.raises(AssertionError, match="not onto"):
+        check((res[0][:1],), square, "c", 3, 0)  # beta2 has no preimage
+    with pytest.raises(AssertionError, match="not injective"):
+        check(res[:1], square, "c", 3, 1)  # P stops early on alpha1 - alpha2
+    with pytest.raises(AssertionError, match="not injective"):
+        check(res[:1], square, "c", 3, 2)  # ... or must stop there
+    (gen, image), = res[1]
+    plus = tuple((j, g, 1) for j, g, _ in image)  # alpha1 + alpha2
+    with pytest.raises(AssertionError, match="d o d"):
+        check((res[0], ((gen, plus),)), square, "c", 3, 2)
 
 
 def test_the_hook_rejects_planted_ind_base_approximation_faults(revalidation):
