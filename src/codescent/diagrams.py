@@ -375,13 +375,12 @@ def right_kan_unit(phi: FunctorData, x: Diagram, rk: RightKan | None = None) -> 
     return make_nat(x, rk.diagram, right_mate(rk, x, ident))
 
 
-def kan(direction: str, phi: FunctorData, x: Diagram, prime: int | None = None):
-    """Uniform entry point: "ind" (left), "ext" (right) or "res";
-    ``prime`` as for :func:`left_kan`."""
+def kan(direction: str, phi: FunctorData, x: Diagram):
+    """Uniform entry point: "ind" (left), "ext" (right) or "res"."""
     if direction == "ind":
-        return left_kan(phi, x, prime).diagram
+        return left_kan(phi, x).diagram
     if direction == "ext":
-        return right_kan(phi, x, prime).diagram
+        return right_kan(phi, x).diagram
     if direction == "res":
         return restrict_along(phi, x)
     raise BadShapeParams("direction must be one of ind/ext/res")
