@@ -48,9 +48,11 @@ the same length N it agrees with its untruncated self through degree
 N + lo(X|D), so the bounds above hold for it unchanged, for both
 strategies; it is built through degree exact_through + 1, the last one
 the rank scan reads.  It reads nothing of X, so it is kept across calls
-(:func:`_resolution`).  The whole diagram (``approximate``) keeps the bar
-build: it must be functorial in c, which the bar resolution is on the
-nose and a small one only up to homotopy.
+(:func:`_resolution`).  The whole diagram (``approximate``) tensors X
+with the bar resolution instead, written in the same format
+(:func:`_bar_resolution`) and by the same builder
+(:func:`_resolved_comparison`): it must be functorial in c, which the bar
+resolution is on the nose and a small one only up to homotopy.
 
 Verdicts: ``holds`` and ``fails`` are only emitted from exact data (a
 directed pair, or a failure witnessed inside the trustworthy degree
@@ -189,7 +191,7 @@ class Approximation:
 def _check_args(x: Diagram, pair: CatPair, strategy: str, cutoff: int | None) -> None:
     """Reject a diagram on another category, an unknown strategy and a
     negative cutoff, at any object (:func:`codescent_at` checks them on D
-    too, where no layout is built)."""
+    too, where nothing is built)."""
     if x.cat != pair.cat:
         raise UnknownObject("diagram and pair live on different categories")
     if strategy not in ("bar", "ind-base"):
@@ -257,160 +259,86 @@ def _bounds(x: Diagram, pair: CatPair, cutoff: int | None, strategy: str) -> _Bo
     return _Bounds(strategy, directed, cutoff, cutoff, cutoff + bounds.lo() - 1)
 
 
-class _BarLayout:
-    """The layout pass of the bar resolution of X along a pair.
+def _bar_resolution(cat: FinCat, levels: list, c: str) -> tuple[list, tuple]:
+    """The normalized bar resolution of M_c = F_p[hom(-, c)] on full(D)
+    in :func:`_resolve`'s format, on the strings ``levels`` of
+    :func:`_paths_in`, and its generators' strings.
 
-    It holds what every object shares: full(D), the strategy's bounds
-    (:func:`_bounds`), the strings by length and the cell degrees of the
-    values on D.  Blocks, their positions and per-degree offsets are laid
-    out one object at a time, on first use (:meth:`at`).  The ind-base
-    resolution is this bar layout too, with the ind-base bounds: the left
-    Kan extension of its inner resolution is the bar resolution (see the
-    module docstring).
+    A generator of P_n is a string (d0, (f_1, ..., f_n), lam), lam any
+    morphism from its end into c, at d0.  Its image has face 0, the term
+    (f_2, ..., f_n, lam) along f_1 with sign +1; the inner faces, the
+    strings with f_{i+1} o f_i merged, along id_d0 with sign (-1)^i and
+    dropped when the composite is an identity (the normalization); and
+    the last face (f_1, ..., f_{n-1}, lam o f_n) along id_d0 with sign
+    (-1)^n.  On P_0 the image is lam itself.
     """
-
-    def __init__(self, x: Diagram, pair: CatPair, cutoff: int | None = None,
-                 strategy: str = "bar"):
-        self.bounds = _bounds(x, pair, cutoff, strategy)
-        self.x, self.cat = x, pair.cat
-        self.sub = full_subcategory(pair.cat, pair.d_objects)
-        self.levels = _paths_in(self.sub, self.bounds.length)
-        self.cells = set().union(*(x.at[d].dims for d in pair.dset))
-        self._objects: dict[str, tuple] = {}
-
-    def at(self, c: str):
-        """(blocks, pos, offsets) at c.
-
-        ``blocks[n]`` lists the strings (d0, (f_1, ..., f_n), lam) of length
-        n, ``pos[n]`` maps (fs, lam) to its index there, and ``offsets[t]``
-        maps (n, index) to the (start, size) of the block at total degree t.
-        """
-        if c not in self._objects:
-            blocks = [[(d0, fs, lam) for (d0, fs, dn) in level for lam in self.cat.hom(dn, c)]
-                      for level in self.levels]
-            pos = [{(fs, lam): b for b, (_, fs, lam) in enumerate(col)} for col in blocks]
-            offsets = {}
-            # only total degrees that carry a block: a degree gap costs nothing
-            for t in sorted({j + n for j in self.cells for n in range(len(blocks))}):
-                where, off = {}, 0
-                for n, col in enumerate(blocks):
-                    if t - n not in self.cells:
-                        continue
-                    for b, (d0, _, _) in enumerate(col):
-                        k = self.x.at[d0].dim(t - n)
-                        if k:
-                            where[n, b] = (off, k)
-                            off += k
-                if where:
-                    offsets[t] = where
-            self._objects[c] = blocks, pos, offsets
-        return self._objects[c]
-
-
-def _bar_complex(lay: _BarLayout, c: str) -> ChainComplex:
-    """QX(c).
-
-    The differential of a block (d0, f_1, ..., f_n, lam) combines the
-    internal differential (sign (-1)^n), X(f_1) on the coefficient (face
-    0), the inner faces f_{i+1} o f_i (sign (-1)^i, dropped when the
-    composite is an identity: that is the normalization) and the last face
-    lam o f_n (sign (-1)^n).  Faces 1..n are +-identity blocks, written as
-    diagonals by one accumulating ``np.add.at`` per differential (so
-    coinciding faces add up); one ``np.mod`` reduces the whole matrix."""
-    x, cat, sub, p = lay.x, lay.cat, lay.sub, lay.x.prime
-    blocks, pos, offsets = lay.at(c)
-    dims = {t: sum(k for _, k in where.values()) for t, where in offsets.items()}
-    diff = {}
-    for t in dims:
-        tgt = offsets.get(t - 1)
-        if not tgt:
-            continue
-        m = _modp.zeros(dims[t - 1], dims[t])
-        rows, cols, signs = [], [], []  # the diagonals of the +-identity blocks
-        for (n, b), (off, k) in offsets[t].items():
-            d0, fs, lam = blocks[n][b]
-            j = t - n
-            dense = [((n, b), x.at[d0].d(j) * (1 if n % 2 == 0 else -1))]
-            faces = []
+    strings = [[(d0, fs, lam) for (d0, fs, dn) in level for lam in cat.hom(dn, c)]
+               for level in levels]
+    res, pos = [], {}
+    for n, col in enumerate(strings):
+        level = []
+        for d0, fs, lam in col:
+            image = [(0, lam, 1)]
             if n:
-                dense.append(((n - 1, pos[n - 1].get((fs[1:], lam))), x.on[fs[0]].component(j)))
+                faces = [(fs[: i - 1] + (cat.compose(fs[i], fs[i - 1]),) + fs[i + 1 :], lam)
+                         for i in range(1, n)] + [(fs[:-1], cat.compose(lam, fs[-1]))]
                 # an identity composite names no string, so its face drops out
-                faces = [(fs[: i - 1] + (sub.compose(fs[i], fs[i - 1]),) + fs[i + 1 :], lam)
-                         for i in range(1, n)] + [(fs[: n - 1], cat.compose(lam, fs[n - 1]))]
-            for key, blk in dense:
-                if key in tgt:
-                    r = tgt[key][0]
-                    m[r : r + blk.shape[0], off : off + k] += blk
-            for i, face in enumerate(faces, 1):
-                key = (n - 1, pos[n - 1].get(face))
-                if key in tgt:
-                    r = tgt[key][0]
-                    rows.extend(range(r, r + k))
-                    cols.extend(range(off, off + k))
-                    signs.extend([1 if i % 2 == 0 else -1] * k)
-        np.add.at(m, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), signs)
-        np.mod(m, p, out=m)
-        if m.any():
-            diff[t] = m
-    return ChainComplex(p, dims, diff)
+                image = [(pos[fs[1:], lam], fs[0], 1)] + [
+                    (pos[face], cat.identity[d0], (-1) ** i)
+                    for i, face in enumerate(faces, 1) if face in pos]
+            level.append((d0, tuple(image)))
+        res.append(tuple(level))
+        pos = {(fs, lam): i for i, (_, fs, lam) in enumerate(col)}
+    return strings, tuple(res)
 
 
-def _bar_comparison(lay: _BarLayout, c: str, qx_c: ChainComplex) -> ChainMap:
-    """xi_c : QX(c) -> X(c), X(lam) on the string-free column."""
-    x = lay.x
-    blocks, _, offsets = lay.at(c)
-    comps = {}
-    for t in qx_c.dims:
-        if x.at[c].dim(t) == 0:
-            continue
-        m = _modp.zeros(x.at[c].dim(t), qx_c.dim(t))
-        for (n, b), (off, k) in offsets[t].items():
-            if n == 0:
-                m[:, off : off + k] = x.on[blocks[0][b][2]].component(t)
-        if m.any():
-            comps[t] = m
-    return ChainMap(qx_c, x.at[c], comps)
+def _bar_diagram(x: Diagram, pair: CatPair, length: int) -> tuple[Diagram, NatTrans, dict]:
+    """QX and xi : QX -> X on strings through ``length``, and the bar
+    resolution at each object.
 
-
-def _bar_diagram(lay: _BarLayout) -> tuple[Diagram, NatTrans]:
-    """QX and xi : QX -> X."""
-    cat = lay.cat
-    at = {c: _bar_complex(lay, c) for c in cat.objects}
+    QX(c) and xi_c are P (x)_D X and its comparison map
+    (:func:`_resolved_comparison`) for P the bar resolution of hom(-, c)
+    on D (:func:`_bar_resolution`).  A morphism g : c1 -> c2 moves the
+    block of the string (fs, lam) at c1 onto that of (fs, g o lam) at c2
+    by an identity."""
+    cat = pair.cat
+    levels = _paths_in(full_subcategory(cat, pair.d_objects), length)
+    bars = {c: _bar_resolution(cat, levels, c) for c in cat.objects}
+    xi = {c: _resolved_comparison(x, res, c, None) for c, (_, res) in bars.items()}
+    where = {c: _layout(x, res, None)[0] for c, (_, res) in bars.items()}
+    pos = {c: [{(fs, lam): i for i, (_, fs, lam) in enumerate(col)} for col in strings]
+           for c, (strings, _) in bars.items()}
     on: dict[str, ChainMap] = {}
     for g, (c1, c2) in cat.mor.items():
-        blocks, _, offsets = lay.at(c1)
-        _, pos2, offsets2 = lay.at(c2)
+        strings, src, tgt = bars[c1][0], xi[c1].source, xi[c2].source
         comps = {}
-        for t in sorted(at[c1].dims):
-            if at[c2].dim(t) == 0:
-                continue
+        for t, blocks in where[c1].items():
             rows, cols = [], []
-            for (n, b), (off, k) in offsets[t].items():
-                _, fs, lam = blocks[n][b]
-                r = offsets2[t][n, pos2[n][fs, cat.compose(g, lam)]][0]
+            for (n, i), (off, k) in blocks.items():
+                _, fs, lam = strings[n][i]
+                r = where[c2][t][n, pos[c2][n][fs, cat.compose(g, lam)]][0]
                 rows.extend(range(r, r + k))
                 cols.extend(range(off, off + k))
-            comps[t] = _modp.zeros(at[c2].dim(t), at[c1].dim(t))
+            comps[t] = _modp.zeros(tgt.dim(t), src.dim(t))
             comps[t][rows, cols] = 1
-        on[g] = ChainMap(at[c1], at[c2], comps)
-    qx = Diagram(cat, at, on)
-    return qx, NatTrans(qx, lay.x, {c: _bar_comparison(lay, c, at[c]) for c in cat.objects})
+        on[g] = ChainMap(src, tgt, comps)
+    qx = Diagram(cat, {c: f.source for c, f in xi.items()}, on)
+    return qx, NatTrans(qx, x, xi), {c: res for c, (_, res) in bars.items()}
 
 
 def approximate(x: Diagram, pair: CatPair, strategy: str = "bar",
                 cutoff: int | None = None) -> Approximation:
     """The whole resolution QX and xi : QX -> X, for either strategy.
 
-    One layout pass (:class:`_BarLayout`, which takes the strategy's
-    bounds) and the bar diagram on it: the ind-base left Kan extension is
-    that diagram (see the module docstring).  It serves
+    The strategy's bounds (:func:`_bounds`) and the bar diagram through
+    their length (:func:`_bar_diagram`): the ind-base left Kan extension
+    is that diagram (see the module docstring).  It serves
     :func:`verify_cofibrant_approx`; verdicts build none of it
     (:func:`_verdicts`).
     """
-    lay = _BarLayout(x, pair, cutoff, strategy)
-    qx, xi = _bar_diagram(lay)
-    sizes = {c: [len(col) for col in lay.at(c)[0]] for c in lay.cat.objects}
-    b = lay.bounds
+    b = _bounds(x, pair, cutoff, strategy)
+    qx, xi, resolutions = _bar_diagram(x, pair, b.length)
+    sizes = {c: [len(level) for level in res] for c, res in resolutions.items()}
     return Approximation(qx, xi, pair, strategy, b.directed, b.cutoff, b.exact_through,
                          column_sizes=sizes)
 
@@ -422,7 +350,7 @@ def bar_approximation(x: Diagram, pair: CatPair, cutoff: int | None = None) -> A
     (f_1, ..., f_n, lam): the f_i composable non-identity morphisms in the
     full subcategory on D, lam any morphism from their end to c; the block
     carries the value complex at the string's start, shifted up by n (see
-    :func:`_bar_complex` for the differential).  A morphism g acts by
+    :func:`_bar_resolution` for the differential).  A morphism g acts by
     lam -> g o lam, a permutation of identity blocks; the comparison map
     applies lam on the string-free column.  Columns are cut at ``cutoff``
     when the full subcategory on D is not directed (and on a directed pair
@@ -443,7 +371,7 @@ def ind_base_approximation(x: Diagram, pair: CatPair,
 
 
 # ---------------------------------------------------------------------------
-# Verdicts: a small free resolution of hom(-, c) on D
+# A small free resolution of hom(-, c) on D, and P (x)_D X
 # ---------------------------------------------------------------------------
 
 # Resolutions :func:`_resolution` keeps, the oldest dropped first.
@@ -546,22 +474,35 @@ def _resolve(pair: CatPair, c: str, p: int, length: int) -> tuple:
     return tuple(res)
 
 
-def _resolved_comparison(x: Diagram, res: tuple, c: str, top: int | None) -> ChainMap:
-    """xi_c : P (x)_D X -> X(c) through total degree ``top`` (all of it
-    when None), for a resolution ``res`` of hom(-, c) (:func:`_resolve`).
-
-    F_p[hom(-, e)] (x)_D X is X(e) (co-Yoneda), so P_n (x)_D X is the sum
-    of X(e) over the generators (e, image) of P_n, shifted up by n.  The
-    differential of a generator's block is the internal one with sign
-    (-1)^n, plus a * X(g) into block j for each term (j, g, a) of its
-    image; on P_0 those terms make xi_c, a * X(lam) into X(c)."""
-    p, where, dims = x.prime, {}, {}
+def _layout(x: Diagram, res: tuple, top: int | None) -> tuple[dict, dict]:
+    """The blocks of P (x)_D X through total degree ``top`` (all of them
+    when None): ``where[t]`` maps generator i of P_n to the (offset, size)
+    of its block X(e)_{t - n} at total degree t, and ``dims[t]`` is their
+    total, both in increasing t."""
+    where, dims = {}, {}
     for n, level in enumerate(res):
         for i, (e, _) in enumerate(level):
             for j, k in x.at[e].dims.items():
                 if top is None or j + n <= top:
                     where.setdefault(j + n, {})[n, i] = (dims.get(j + n, 0), k)
                     dims[j + n] = dims.get(j + n, 0) + k
+    return {t: where[t] for t in sorted(where)}, {t: dims[t] for t in sorted(dims)}
+
+
+def _resolved_comparison(x: Diagram, res: tuple, c: str, top: int | None) -> ChainMap:
+    """xi_c : P (x)_D X -> X(c) through total degree ``top`` (all of it
+    when None), for a resolution ``res`` of hom(-, c) in :func:`_resolve`'s
+    format: the small one verdicts scan or the bar resolution
+    (:func:`_bar_resolution`).
+
+    F_p[hom(-, e)] (x)_D X is X(e) (co-Yoneda), so P_n (x)_D X is the sum
+    of X(e) over the generators (e, image) of P_n, shifted up by n
+    (:func:`_layout`).  The differential of a generator's block is the
+    internal one with sign (-1)^n, plus a * X(g) into block j for each
+    term (j, g, a) of its image; on P_0 those terms make xi_c, a * X(lam)
+    into X(c)."""
+    p = x.prime
+    where, dims = _layout(x, res, top)
     diff, comps = {}, {}
     for t, cols in where.items():
         rows = where.get(t - 1, {})

@@ -359,22 +359,6 @@ def right_kan(phi: FunctorData, y: Diagram, prime: int | None = None) -> RightKa
     return RightKan(rk, counit, commas, limits)
 
 
-def left_kan_counit(phi: FunctorData, x: Diagram, lk: LeftKan | None = None) -> NatTrans:
-    """Counit (extension of a restriction) -> (original diagram)."""
-    if lk is None:
-        lk = left_kan(phi, restrict_along(phi, x), x.prime)
-    ident = {a: identity_map(x.at[phi.on_obj(a)]) for a in phi.source.objects}
-    return make_nat(lk.diagram, x, left_mate(lk, x, ident))
-
-
-def right_kan_unit(phi: FunctorData, x: Diagram, rk: RightKan | None = None) -> NatTrans:
-    """Unit (original diagram) -> (extension of its restriction)."""
-    if rk is None:
-        rk = right_kan(phi, restrict_along(phi, x), x.prime)
-    ident = {a: identity_map(x.at[phi.on_obj(a)]) for a in phi.source.objects}
-    return make_nat(x, rk.diagram, right_mate(rk, x, ident))
-
-
 def kan(direction: str, phi: FunctorData, x: Diagram):
     """Uniform entry point: "ind" (left), "ext" (right) or "res"."""
     if direction == "ind":

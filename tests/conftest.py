@@ -14,9 +14,10 @@ makes stays checked:
   the P (x)_D X a verdict scans included;
 * every structure map, unit, counit, comparison (a verdict's xi_c
   included) and (co)limit leg is a chain map (``make_map``);
-* every resolution of hom(-, c) on D a verdict reads is one, checked by
-  the row reduction of ``oracles.py``: onto hom(-, c), exact through its
-  length, and injective at its end where it stopped early or must stop;
+* every resolution of hom(-, c) on D a verdict reads, and every bar
+  resolution a full build tensors with X, is one, checked by the row
+  reduction of ``oracles.py``: onto hom(-, c), exact through its length,
+  and injective at its end where it stopped early or must stop;
 * functor and naturality laws hold (``make_diagram``, ``make_nat``), and
   colimit injections and limit projections are natural along every
   morphism of the shape, the colimits of a left Kan extension included;
@@ -159,10 +160,12 @@ def _check_resolved_comparison(f, *args, **kwargs):
     check_map(f)
 
 
-def _check_bar_diagram(result, *args, **kwargs):
-    qx, xi = result
+def _check_bar_diagram(result, x, pair, length):
+    qx, xi, resolutions = result
     check_diagram(qx)
     check_nat(xi)
+    for c, res in resolutions.items():
+        _check_resolution(res, pair, c, x.prime, length)
 
 
 def _check_approximation(approx, *args, **kwargs):

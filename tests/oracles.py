@@ -48,13 +48,12 @@ def mat_mul(a, b, p):
         raise ValueError("shape mismatch %s x %s" % ((ra, ca), (rb, cb)))
     out = []
     for i in range(ra):
-        row = []
-        for j in range(cb):
-            s = 0
-            for k in range(ca):
-                s += a[i][k] * b[k][j]
-            row.append(s % p)
-        out.append(row)
+        row = [0] * cb
+        for k in range(ca):
+            if a[i][k]:  # a zero entry adds nothing: sparse factors stay cheap
+                for j in range(cb):
+                    row[j] += a[i][k] * b[k][j]
+        out.append([s % p for s in row])
     return out
 
 
@@ -384,6 +383,67 @@ def pushout_comparison_defect(e, d1, d2, c, f, g, u, v, p):
         comparison[n] = mtx
 
     return first_defect((po_dims, po_diffs), c, comparison, p)
+
+
+# ---------------------------------------------------------------------------
+# A free resolution tensored with a diagram (independent route for P (x)_D X)
+# ---------------------------------------------------------------------------
+
+def resolution_tensor(res, values, maps, c, p, top=None):
+    """P (x)_D X and xi_c : P (x)_D X -> X(c), through total degree ``top``.
+
+    ``res[n]`` lists the generators (e, image) of P_n, a free resolution
+    of F_p[hom(-, c)]: generator i of P_n is F_p[hom(-, e)], and each term
+    (j, g, a) of its image is a * g in generator j of P_{n-1} (for n = 0,
+    a * g with g : e -> c).  ``values[e]`` is X(e) as (dims, diffs) and
+    ``maps[g]`` the components of X(g) (missing degrees are zero).
+
+    F_p[hom(-, e)] (x)_D X = X(e), so generator i of P_n gives a block
+    X(e)_{t - n} in total degree t; in each degree the blocks follow
+    (n, i) in order.  A block maps to itself one degree down by X(e)'s
+    differential with sign (-1)^n, and by a * X(g) to block j of P_{n-1}
+    for each term (j, g, a), or into X(c) when n = 0 (that is xi_c).
+    Returns ((dims, diffs), comps) with zero degrees and zero matrices
+    left out.
+    """
+    offsets, dims = {}, {}
+    for n, level in enumerate(res):
+        for i, (e, _) in enumerate(level):
+            for j, k in sorted(values[e][0].items()):
+                t = j + n
+                if k and (top is None or t <= top):
+                    offsets[t, n, i] = dims.get(t, 0)
+                    dims[t] = dims.get(t, 0) + k
+
+    def add(mtx, row, col, blk, a):
+        for r, line in enumerate(blk):
+            for q, v in enumerate(line):
+                mtx[row + r][col + q] += a * v
+
+    diffs, comps = {}, {}
+    for t in sorted(dims):
+        d = mat_zero(dims.get(t - 1, 0), dims[t])
+        xi = mat_zero(values[c][0].get(t, 0), dims[t])
+        for (u, n, i), col in offsets.items():
+            if u != t:
+                continue
+            e, image = res[n][i]
+            below = offsets.get((t - 1, n, i))
+            if below is not None and t - n in values[e][1]:
+                add(d, below, col, values[e][1][t - n], (-1) ** n)
+            for j, g, a in image:
+                blk = maps[g].get(t - n)
+                if blk is None:
+                    continue
+                if n == 0:
+                    add(xi, 0, col, blk, a)
+                elif (t - 1, n - 1, j) in offsets:
+                    add(d, offsets[t - 1, n - 1, j], col, blk, a)
+        for out, mtx in ((diffs, d), (comps, xi)):
+            mtx = [[v % p for v in line] for line in mtx]
+            if any(any(line) for line in mtx):
+                out[t] = mtx
+    return (dims, diffs), comps
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import sys
 from unittest import mock
@@ -182,18 +183,20 @@ def test_frozen_z2_funnel_failure():
 
 
 def test_bar_reproduces_cyclic_group_homology():
-    # constant sphere over the Z/3 funnel: the resolution's value at the
-    # tip computes group homology of Z/3 over F_3
+    # constant sphere over the Z/3 funnel: P (x)_D X at the tip computes
+    # group homology of Z/3 over F_3, for the bar resolution (the full
+    # build's value) and for the small one a verdict scans
     pair = funnel_monoid(k=3)
     s = sphere(3, 0)
     x = make_diagram(pair.cat, {"d": s, "c": s},
                      {"m1": identity_map(s), "m2": identity_map(s),
                       "a0": identity_map(s)})
-    ap = bar_approximation(x, pair, cutoff=5)
-    got = homology_dims(ap.diagram.at["c"])
+    small = cmod._resolved_comparison(x, cmod._resolve(pair, "c", 3, 5), "c", None)
     want = oracles.cyclic_group_homology(3, 3, 4)
-    for n in range(0, 5):  # certified through cutoff - 1
-        assert got.get(n, 0) == want[n]
+    for cx in (bar_approximation(x, pair, cutoff=5).diagram.at["c"], small.source):
+        got = homology_dims(cx)
+        for n in range(0, 5):  # certified through cutoff - 1
+            assert got.get(n, 0) == want[n]
 
 
 def test_free_module_value_gives_bounded_positive():
@@ -230,8 +233,7 @@ def test_locus_report_partitions_objects(rng):
 
 # what each strategy's full build calls; a verdict must call none of them,
 # no piece of the bar build and no left Kan extension either
-BAR_PIECES = (cmod._BarLayout, cmod._paths_in, cmod._bar_complex, cmod._bar_comparison,
-              fincat.full_subcategory)
+BAR_PIECES = (cmod._paths_in, cmod._bar_resolution, fincat.full_subcategory)
 FULL_BUILDS = {"bar": (cmod.bar_approximation, cmod.approximate, cmod._bar_diagram)
                + BAR_PIECES,
                "ind-base": (cmod.ind_base_approximation, cmod.approximate,
@@ -372,9 +374,9 @@ def _lan_reference(x, pair, cutoff):
     incl = fincat.inclusion_functor(sub, pair.cat)
     res_x = diagrams.restrict_along(incl, x)
     if sub.non_identity_morphisms():
-        lay = cmod._BarLayout(res_x, CatPair(sub, frozenset(sub.objects)), cutoff)
-        inner, zeta = cmod._bar_diagram(lay)
-        b = lay.bounds
+        inner_pair = CatPair(sub, frozenset(sub.objects))
+        b = cmod._bounds(res_x, inner_pair, cutoff, "bar")
+        inner, zeta, _ = cmod._bar_diagram(res_x, inner_pair, b.length)
         bounds, zeta = (b.directed, b.cutoff, b.exact_through), zeta.comps
     else:
         inner, zeta = res_x, {d: identity_map(res_x.at[d]) for d in sub.objects}
@@ -481,23 +483,29 @@ REFERENCE_SHAPES = {
 }
 
 
+def _bar_resolutions(pair, length):
+    """The bar resolution of hom(-, c) on D through ``length``, at each c
+    outside D."""
+    levels = cmod._paths_in(fincat.full_subcategory(pair.cat, pair.d_objects), length)
+    return {c: cmod._bar_resolution(pair.cat, levels, c)[1] for c in pair.complement}
+
+
 def _bar_reference(x, pair, strategy, cutoff):
     """The bar route: the strategy's bounds, and the verdicts that scanning
     each uncut QX(c) gives."""
-    lay = cmod._BarLayout(x, pair, cutoff, strategy)
-    through = lay.bounds.exact_through
-    return lay.bounds, {c: _verdict_for_map(
-        cmod._bar_comparison(lay, c, cmod._bar_complex(lay, c)), through)
-        for c in pair.complement}
+    bounds = cmod._bounds(x, pair, cutoff, strategy)
+    return bounds, {c: _verdict_for_map(cmod._resolved_comparison(x, res, c, None),
+                                        bounds.exact_through)
+                    for c, res in _bar_resolutions(pair, bounds.length).items()}
 
 
 @st.composite
-def reference_cases(draw):
+def reference_cases(draw, cutoffs=(None, 0, 1, 2, 3, 4)):
     """Every catalogue shape (the non-directed two-object isomorphism and
     retract pairs included), the Z/2 and Z/3 funnels and a monoid with a
-    tail, at cutoffs None and 0 to 4, with either strategy."""
+    tail, at ``cutoffs``, with either strategy."""
     pair = REFERENCE_SHAPES[draw(st.sampled_from(sorted(REFERENCE_SHAPES)))]
-    return (pair, _case_diagram(draw, pair), draw(st.sampled_from((None, 0, 1, 2, 3, 4))),
+    return (pair, _case_diagram(draw, pair), draw(st.sampled_from(cutoffs)),
             draw(st.sampled_from(("bar", "ind-base"))))
 
 
@@ -516,6 +524,42 @@ def test_verdicts_are_the_bar_routes(case):
     assert (report.directed, report.cutoff, report.exact_through) \
         == (bounds.directed, bounds.cutoff, bounds.exact_through)
     assert {c: report.verdicts[c] for c in pair.complement} == want
+
+
+def staggered_square():
+    """The square with X(e) in degree 2 and the other values in degree 0:
+    at c the bar's P_0 has the block of e (degree 2) before those of d1
+    and d2 (degree 0)."""
+    pair = REFERENCE_SHAPES["commutative_square"]
+    at = {a: sphere(3, 2 if a == "e" else 0) for a in pair.cat.objects}
+    return pair, make_diagram(pair.cat, at, {m: zero_map(at[a], at[b]) for m, (a, b)
+                                             in pair.cat.mor.items() if a != b})
+
+
+@given(reference_cases(cutoffs=(0, 1, 2, 3)))  # low enough for plain Python lists
+@example((*z2_funnel_acyclic_tail(), 3, "ind-base"))
+@example((*staggered_square(), None, "bar"))
+@settings(max_examples=60, deadline=None)
+def test_the_shared_builder_is_the_oracles_tensor(case):
+    # both resolutions a verdict or a full build tensors with X, uncut and
+    # cut above exact_through + 1, against the list-of-lists P (x)_D X;
+    # degrees come in increasing order, which is how callers iterate them
+    pair, x, cutoff, strategy = case
+    bounds = cmod._bounds(x, pair, cutoff, strategy)
+    top = None if bounds.exact_through is math.inf else int(bounds.exact_through) + 1
+    values = {a: (cx.dims, {t: m.tolist() for t, m in cx.diff.items()})
+              for a, cx in x.at.items()}
+    maps = {g: {t: m.tolist() for t, m in f.comps.items()} for g, f in x.on.items()}
+    bars = _bar_resolutions(pair, bounds.length)
+    for c in pair.complement:
+        small = cmod._resolution(pair, cmod._shape_key(pair), c, x.prime, bounds.length)
+        for res, cut in itertools.product((small, bars[c]), (None, top)):
+            f = cmod._resolved_comparison(x, res, c, cut)
+            (dims, diffs), comps = oracles.resolution_tensor(res, values, maps, c, x.prime, cut)
+            assert f.source.dims == dims
+            assert list(f.source.dims) == sorted(dims)
+            assert {t: m.tolist() for t, m in f.source.diff.items()} == diffs
+            assert {t: m.tolist() for t, m in f.comps.items()} == comps
 
 
 DIRECTED_SHAPES = [("arrow", {}), ("multi_arrow", {"n": 3}), ("commutative_square", {}),

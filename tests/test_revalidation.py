@@ -139,4 +139,31 @@ def test_the_hook_rejects_planted_ind_base_approximation_faults(revalidation):
     # xi_c o X(alpha) = 0 but X(alpha) o xi_d = id
     xi = NatTrans(x, x, {"d": identity_map(s), "c": zero_map(s, s)})
     with pytest.raises(NotNatural):
-        revalidation.checks["_bar_diagram"]((x, xi))
+        revalidation.checks["_bar_diagram"]((x, xi, {}), x, arrow, 0)
+
+
+def test_the_hook_rejects_planted_bar_resolution_faults(revalidation):
+    # the bar resolution of hom(-, c) on the Z/3 funnel's D through P_2,
+    # which approximate tensors with X: a dropped last face and a flipped
+    # inner face each break d o d = 0 over F_3
+    pair = funnel_monoid(k=3)
+    x = constant_diagram(pair.cat, sphere(3, 0))
+    check = revalidation.checks["_bar_diagram"]
+    qx, xi, resolutions = revalidation.wrappers["_bar_diagram"].__wrapped__(x, pair, 2)
+    check((qx, xi, resolutions), x, pair, 2)
+    res = resolutions["c"]
+    assert [len(level) for level in res] == [1, 2, 4]  # strings of m1 and m2
+
+    def planted(fault):
+        return (qx, xi, {"c": tuple(tuple((e, fault(n, image)) for e, image in level)
+                                    for n, level in enumerate(res))})
+
+    with pytest.raises(AssertionError, match="d o d"):
+        check(planted(lambda n, image: image[:-1] if n else image), x, pair, 2)
+    # the string (m1, m1) into c: face 0 (m1) along m1, the inner face
+    # (m1 o m1) = (m2) with sign -1, the last face (m1, a0 o m1) = (m1, a0)
+    assert res[2][0][1] == ((0, "m1", 1), (1, "m0", -1), (0, "m0", 1))
+    with pytest.raises(AssertionError, match="d o d"):
+        check(planted(lambda n, image: tuple((j, g, -a if n == 2 and 0 < t < len(image) - 1
+                                              else a) for t, (j, g, a) in enumerate(image))),
+              x, pair, 2)
