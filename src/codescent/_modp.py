@@ -20,7 +20,9 @@ package supports primes up to :data:`MAX_P` (the largest such prime is
 pivot columns ``piv``, and A2 becomes S = A2 - A2[:, piv] E by one
 :func:`matmul`.  Since E[:, piv] = I and S[:, piv] = 0, rank(A) =
 rank(E) + rank(S), and S is reduced the same way.  So the rank is exact
-because the product is.
+because the product is.  The panels' pivot columns are those of A's
+reduced form, its column rank profile (Dumas, Pernet and Sultan, ISSAC
+2013), so those below k count the rank of A's first k columns.
 
 Below a size the same paper switches to a base case, and so do
 :func:`rref` and :func:`rank`: a matrix of at most :data:`SMALL` entries
@@ -230,35 +232,42 @@ def _small_rref(rows: list[list[int]], p: int):
 
 
 def rank(a: np.ndarray, p: int) -> int:
-    """Rank of ``a`` over F_p, by row panels of :data:`PANEL` rows.
+    """Rank of ``a`` over F_p: the number of its pivot columns."""
+    return len(_pivot_columns(a, p))
 
-    Write ``a`` as a panel A1 over the rows A2 below it.  ``rref`` reduces
-    A1 to E with pivot columns ``piv``, and one :func:`matmul` turns A2
-    into the Schur complement S = A2 - A2[:, piv] E.  The rows of E and S
-    span the row space of ``a``, and E[:, piv] = I while S[:, piv] = 0, so
-    the two row spaces meet only in 0 and rank(a) = rank(E) + rank(S); S is
-    reduced the same way.  The result is exact because ``matmul`` is.  A
-    matrix of at most :data:`SMALL` entries has the rank
-    :func:`_small_rref` counts, without a panel: exact, because Python ints
-    do not overflow.  A larger matrix without a nonzero entry has rank 0
-    without any elimination.
+
+def _pivot_columns(a: np.ndarray, p: int) -> list[int]:
+    """The pivot columns of the reduced form of ``a``, in increasing order
+    (those below k count the rank of ``a[:, :k]``), by row panels.
+
+    ``rref`` reduces a panel A1 of :data:`PANEL` rows to E with pivot
+    columns ``piv``, and one :func:`matmul` turns the rows A2 below into
+    S = A2 - A2[:, piv] E, reduced the same way.  E and S span the row
+    space of ``a``, and E[:, piv] = I while S[:, piv] = 0, so their pivots
+    are distinct leading positions, those of the whole span.  Exact because
+    ``matmul`` is.  A matrix of at most :data:`SMALL` entries has the
+    pivots :func:`_small_rref` finds (exact on Python ints), and a larger
+    zero matrix has none, without any elimination.
     """
     a = np.asarray(a, dtype=np.int64)
     if a.size <= SMALL:
-        return len(_small_rref(np.mod(a, p).tolist(), p)[1])
+        return _small_rref(np.mod(a, p).tolist(), p)[1]
     if not a.any():
-        return 0
-    return _panel_rank(a, p, PANEL)
+        return []
+    return _panel_pivots(a, p, PANEL)
 
 
-def _panel_rank(a: np.ndarray, p: int, height: int) -> int:
-    """The panel loop of :func:`rank`, with panels of ``height`` rows.
+def _panel_pivots(a: np.ndarray, p: int, height: int) -> list[int]:
+    """The panel loop of :func:`_pivot_columns`, with panels of ``height``
+    rows.
 
     Each panel is reduced on its nonzero columns only, and the Schur
     update touches only the rows below with a nonzero in a pivot column.
-    ``a`` itself is never written.
+    ``a`` itself is never written.  ``where`` maps the columns left to
+    those of ``a``; it drops the pivot columns when the update does.
     """
-    total = 0
+    pivots: list[int] = []
+    where = np.arange(a.shape[1])
     work = a
     while work.shape[0]:
         panel, work = work[:height], work[height:]
@@ -266,10 +275,14 @@ def _panel_rank(a: np.ndarray, p: int, height: int) -> int:
         if live.size < panel.shape[1]:
             panel = panel[:, live]
         e, piv = rref(panel, p)
-        total += len(piv)
+        cols = live[piv]
+        pivots += where[cols].tolist()
         if piv and work.shape[0]:
-            work = _schur_update(a, work, e[:len(piv)], live, live[piv], p)
-    return total
+            width = work.shape[1]
+            work = _schur_update(a, work, e[:len(piv)], live, cols, p)
+            if work.shape[1] < width:
+                where = np.delete(where, cols)
+    return sorted(pivots)
 
 
 def _schur_update(a, work, e, live, cols, p):

@@ -12,6 +12,7 @@ empty colimits and empty limits therefore both evaluate to it.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -111,6 +112,8 @@ class ChainComplex:
         return range(self.lo, self.hi + 1)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, ChainComplex):
             return NotImplemented
         if self.prime != other.prime or self.dims != other.dims:
@@ -247,7 +250,7 @@ def zero_map(source: ChainComplex, target: ChainComplex) -> ChainMap:
 
 def compose(g: ChainMap, f: ChainMap) -> ChainMap:
     """g o f (apply f first)."""
-    if f.target is not g.source and f.target != g.source:
+    if f.target != g.source:
         raise ShapeMismatch("composition mismatch: %r then %r" % (f, g))
     p = f.prime
     comps = {}
@@ -352,11 +355,12 @@ def first_homology_failure(f: ChainMap, through: int | None = None):
     Betti numbers: scanning up from the bottom degree, the first failure
     is the least n with b_n(C) > 0 or b_n(A) != b_n(B) (H_{n-1}(f) is then
     injective, so b_n(C) = dim coker H_n(f)), with defect 2 b_n(C) +
-    b_n(A) - b_n(B).  Each rank of d^A, d^B and d^C is taken once.
-    ``through`` only ends the scan early (truncated verdicts pass
-    ``exact_through``); the start stays at the bottom, as the formula needs.
-    Only degrees carrying a cell of A, B or C are visited: elsewhere all
-    three Betti numbers vanish.
+    b_n(A) - b_n(B).  Each rank of d^A, d^B and d^C is taken once, and
+    rank d^B_{n+1} is the number of pivot columns of d^C_{n+1} among its
+    first ones, those of [d^B_{n+1}; 0].  ``through`` only ends the scan
+    early (truncated verdicts pass ``exact_through``); the start stays at
+    the bottom, as the formula needs.  Only degrees carrying a cell of A, B
+    or C are visited: elsewhere all three Betti numbers vanish.
     """
     src, tgt, p = f.source, f.target, f.prime
     degs = set(src.dims) | set(tgt.dims)
@@ -368,8 +372,9 @@ def first_homology_failure(f: ChainMap, through: int | None = None):
     for n in sorted(d for d in cells if d <= top):
         if n - 1 not in cells:
             below = (0, 0, 0)  # d_n maps into a zero space
-        above = (_modp.rank(src.d(n + 1), p), _modp.rank(tgt.d(n + 1), p),
-                 _modp.rank(_cone_differential(f, n + 1), p))
+        cone = _modp._pivot_columns(_cone_differential(f, n + 1), p)
+        above = (_modp.rank(src.d(n + 1), p), bisect.bisect_left(cone, tgt.dim(n + 1)),
+                 len(cone))
         a = src.dim(n) - below[0] - above[0]
         b = tgt.dim(n) - below[1] - above[1]
         c = tgt.dim(n) + src.dim(n - 1) - below[2] - above[2]

@@ -136,7 +136,14 @@ def _verdict_from_failure(failure, exact_through):
 # ---------------------------------------------------------------------------
 
 def is_directed_pair(pair: CatPair) -> bool:
-    """No non-identity endomorphisms and no cycles inside full(D)."""
+    """No non-identity endomorphisms and no cycles inside full(D), kept per FinCat and D."""
+    facts, key = pair.cat._facts, ("directed", pair.dset)
+    if key not in facts:
+        facts[key] = _is_directed(pair)
+    return facts[key]
+
+
+def _is_directed(pair: CatPair) -> bool:
     cat = pair.cat
     edges: dict[str, set[str]] = {a: set() for a in pair.d_objects}
     for m in cat.non_identity_morphisms():
@@ -381,10 +388,13 @@ _RESOLUTIONS: dict[tuple, tuple] = {}
 
 def _shape_key(pair: CatPair) -> tuple:
     """All of the pair a resolution reads (FinCat is unhashable): the
-    objects, morphisms, identities and composition table, and D."""
+    objects, morphisms, identities and composition table, sorted once per
+    :class:`FinCat` (nothing edits one after construction), and D."""
     cat = pair.cat
-    return (cat.objects, tuple(sorted(cat.mor.items())), tuple(sorted(cat.identity.items())),
-            tuple(sorted(cat.comp.items())), pair.d_objects)
+    if "shape" not in cat._facts:
+        cat._facts["shape"] = (cat.objects,) + tuple(
+            tuple(sorted(table.items())) for table in (cat.mor, cat.identity, cat.comp))
+    return cat._facts["shape"], pair.d_objects
 
 
 def _resolution(pair: CatPair, key: tuple, c: str, p: int, length: int) -> tuple:
@@ -500,7 +510,7 @@ def _resolved_comparison(x: Diagram, res: tuple, c: str, top: int | None) -> Cha
     (:func:`_layout`).  The differential of a generator's block is the
     internal one with sign (-1)^n, plus a * X(g) into block j for each
     term (j, g, a) of its image; on P_0 those terms make xi_c, a * X(lam)
-    into X(c)."""
+    into X(c).  Blocks are added in place, and those X stores as absent skipped."""
     p = x.prime
     where, dims = _layout(x, res, top)
     diff, comps = {}, {}
@@ -509,14 +519,17 @@ def _resolved_comparison(x: Diagram, res: tuple, c: str, top: int | None) -> Cha
         d, xi = _modp.zeros(dims.get(t - 1, 0), dims[t]), _modp.zeros(x.at[c].dim(t), dims[t])
         for (n, i), (off, k) in cols.items():
             e, image = res[n][i]
-            blocks = [((n, i), x.at[e].d(t - n) * (-1) ** n)]
-            blocks += [((n - 1, j), a * x.on[g].component(t - n)) for j, g, a in image]
-            for into, blk in blocks:  # block (-1, 0) is X(c)
-                if into[0] < 0:
-                    xi[:, off : off + k] += blk
-                elif into in rows:
-                    r = rows[into][0]
-                    d[r : r + blk.shape[0], off : off + k] += blk
+            m = x.at[e].diff.get(t - n)
+            if m is not None:
+                r = rows[n, i][0]
+                blk = d[r : r + m.shape[0], off : off + k]
+                (np.subtract if n % 2 else np.add)(blk, m, out=blk)
+            for j, g, a in image:  # into X(c) on P_0
+                m = x.on[g].comps.get(t - n)
+                if m is not None:
+                    r = rows[n - 1, j][0] if n else 0
+                    blk = (d if n else xi)[r : r + m.shape[0], off : off + k]
+                    np.add(blk, m if a == 1 else a * m, out=blk)
         for out, m in ((diff, d), (comps, xi)):
             np.mod(m, p, out=m)
             if m.any():

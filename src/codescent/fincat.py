@@ -65,9 +65,10 @@ class FinCat:
     The constructor fills in the identity-law composites (m o id = m,
     id o m = m) missing from ``comp``; everything else is taken as given.
     Data from outside the package goes through :func:`make_category`.
-    """
+    ``_facts`` keeps what callers derive once (sorted tables, directedness
+    per subset), which stays true as nothing edits an instance."""
 
-    __slots__ = ("objects", "mor", "identity", "comp", "_hom", "_ident_names")
+    __slots__ = ("objects", "mor", "identity", "comp", "_hom", "_ident_names", "_facts")
 
     def __init__(self, objects, mor, identity, comp):
         self.objects = tuple(objects)
@@ -83,6 +84,7 @@ class FinCat:
             s, t = self.mor[name]
             hom.setdefault((s, t), []).append(name)
         self._hom = hom
+        self._facts: dict = {}
 
     # -- lookups ------------------------------------------------------------
 
@@ -121,6 +123,8 @@ class FinCat:
             raise MissingComposite("no composite recorded for (%s, %s)" % (g, f)) from None
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FinCat):
             return NotImplemented
         return (self.objects == other.objects and self.mor == other.mor
@@ -173,25 +177,20 @@ def make_category(objects, morphisms, identities, composition) -> FinCat:
             if comp.get(key, m) != m:
                 raise BadIdentity("identity law violated at %r" % (key,))
     # totality over non-identity composable pairs
-    for f, (fs, ft) in mor.items():
-        if f in ident_names:
-            continue
-        for g, (gs, gt) in mor.items():
-            if g in ident_names or gs != ft:
-                continue
-            if (g, f) not in comp:
+    plain = [(m, s, t) for m, (s, t) in mor.items() if m not in ident_names]
+    for f, fs, ft in plain:
+        for g, gs, gt in plain:
+            if gs == ft and (g, f) not in comp:
                 raise MissingComposite("no composite recorded for (%s, %s)" % (g, f))
     cat = FinCat(objects, mor, identity, comp)
-    # associativity, exhaustively
-    for f in cat.mor:
-        fs, ft = cat.mor[f]
-        for g in cat.mor:
-            gs, gt = cat.mor[g]
+    # associativity, exhaustively on non-identity triples: a triple with an
+    # identity holds by the identity laws checked above
+    for f, fs, ft in plain:
+        for g, gs, gt in plain:
             if gs != ft:
                 continue
             gf = cat.compose(g, f)
-            for h in cat.mor:
-                hs, ht = cat.mor[h]
+            for h, hs, ht in plain:
                 if hs != gt:
                     continue
                 left = cat.compose(h, gf)

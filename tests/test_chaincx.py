@@ -1,8 +1,9 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from codescent import (
     NonCommutingSquare,
@@ -37,6 +38,7 @@ from codescent import (
 from codescent import _modp
 
 import oracles
+from test_modp import PANEL_PRIMES
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +217,88 @@ def test_rank_route_matches_basis_route_and_oracle(case):
     comps = {n: f.component(n).tolist() for n in degs}
     assert got == oracles.first_defect(raw_src, raw_tgt, comps, f.prime,
                                        range(min(degs), top + 1))
+
+
+def _raw_first_defect(f):
+    a, b = f.source, f.target
+    raw_src = (dict(a.dims), {n: a.d(n).tolist() for n in a.degrees()})
+    raw_tgt = (dict(b.dims), {n: b.d(n).tolist() for n in b.degrees()})
+    comps = {n: f.component(n).tolist() for n in set(a.dims) | set(b.dims)}
+    return oracles.first_defect(raw_src, raw_tgt, comps, f.prime)
+
+
+@st.composite
+def panel_scan_cases(draw):
+    """A chain map f = u j q + d h + h d between complexes of total
+    dimension 15 to 40, and a panel height of 1 to 5 rows.  A = A0 (+) C
+    and B = C (+) B0 for a random C and A0, B0 each random, acyclic or
+    zero; q : A -> C and j : C -> B are the projection and the inclusion,
+    u a unit, so H(f) kills H(A0) and misses H(B0); h : A -> B of degree +1
+    hides the blocks."""
+    p = draw(st.sampled_from(PANEL_PRIMES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = draw(st.integers(-1, 1))
+    hi = lo + draw(st.integers(1, 3))
+    kinds = draw(st.tuples(*[st.sampled_from(("random", "acyclic", "zero"))] * 2))
+
+    def summand(kind):
+        if kind == "zero":
+            return zero_complex(p)
+        if kind == "acyclic":
+            return direct_sum([disk(p, n, int(rng.integers(1, 5))) for n in range(lo + 1, hi + 1)])[0]
+        return random_complex(rng, lo, hi, 9, p)[0]
+
+    while True:
+        c = random_complex(rng, lo, hi, 15, p)[0]
+        a, _, proj = direct_sum([summand(kinds[0]), c])
+        b, inj, _ = direct_sum([c, summand(kinds[1])])
+        if 15 <= a.total_dim <= 40 and 15 <= b.total_dim <= 40:
+            break
+    unit, jq = int(rng.integers(1, p)), compose(inj[0], proj[1])
+    h = {n: rng.integers(0, p, size=(b.dim(n + 1), a.dim(n))) for n in a.dims}
+    comps = {}
+    for n in set(a.dims) | set(b.dims):
+        dh = b.d(n + 1) @ h.get(n, _modp.zeros(b.dim(n + 1), a.dim(n)))
+        hd = h.get(n - 1, _modp.zeros(b.dim(n), a.dim(n - 1))) @ a.d(n)
+        comps[n] = (unit * jq.component(n) + dh + hd) % p
+    return make_map(a, b, comps), draw(st.integers(1, 5))
+
+
+def _every_row_case():
+    """f : S^0 -> B, B_1 -> B_0 = [1; 1] and f_0 = [1; 0], a
+    quasi-isomorphism.  With panels of one row, the first pivot of cone d_1
+    = [[1, 1], [1, 0]] hits every row below, so the Schur update drops
+    its column, and the next pivot, column 1 of the cone, sits in column 0
+    of what is left."""
+    b = make_complex(3, {0: 2, 1: 1}, {1: np.array([[1], [1]])})
+    return make_map(sphere(3, 0), b, {0: np.array([[1], [0]])}), 1
+
+
+@given(panel_scan_cases())
+@example(_every_row_case())
+@settings(max_examples=40, deadline=None)
+def test_the_scan_matches_the_oracle_on_the_panel_route(case):
+    # every rank the scan takes runs through panels of a few rows, where
+    # the pivot columns of each panel must be mapped back to the cone's
+    f, height = case
+    want = _raw_first_defect(f)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_modp, "SMALL", 0)
+        patch.setattr(_modp, "PANEL", height)
+        assert first_homology_failure(f) == want
+
+
+def test_the_scan_ranks_two_matrices_per_degree_and_never_d_B_alone(rng):
+    # d^A_{n+1} and the cone's d_{n+1} at each degree visited; rank d^B is
+    # read off the cone's pivot columns
+    a = random_complex(rng, 0, 3, 6, 3)[0]
+    b, inj, _ = direct_sum([a, disk(3, 2, 2)])
+    with mock.patch.object(_modp, "_pivot_columns", wraps=_modp._pivot_columns) as elim, \
+            mock.patch.object(_modp, "rank", wraps=_modp.rank) as rank:
+        assert first_homology_failure(inj[0]) is None  # so every degree is visited
+    visited = (set(a.dims) | set(b.dims) | {n + 1 for n in a.dims}) & set(range(max(b.dims) + 1))
+    assert elim.call_count == 2 * len(visited)
+    assert not any(call.args[0] is m for call in rank.call_args_list for m in b.diff.values())
 
 
 def test_identity_is_quasi_iso_zero_to_acyclic_is_too():

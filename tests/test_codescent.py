@@ -32,6 +32,7 @@ from codescent import (
     ind_base_approximation,
     is_directed_pair,
     is_quasi_iso,
+    make_category,
     make_complex,
     make_diagram,
     make_map,
@@ -536,9 +537,39 @@ def staggered_square():
                                              in pair.cat.mor.items() if a != b})
 
 
+def two_funnel():
+    """A funnel d -> c over the monoid {1, t, u, v}: v is idempotent, u^2
+    = v and uv = vu = u (a copy of Z/2 with unit v), t^2 = v, and t acts
+    as v on u and v.  Over F_5 its small resolution of hom(-, c) has an
+    image coefficient 2, where the catalogue's have only +-1."""
+    table = {(g, f): "v" for g in "tuv" for f in "tuv"}
+    table.update({("t", "u"): "u", ("u", "t"): "u", ("u", "v"): "u", ("v", "u"): "u"})
+    table.update({("a", f): "a" for f in "tuv"})
+    mor = {"id_d": ("d", "d"), "id_c": ("c", "c"), "a": ("d", "c"),
+           "t": ("d", "d"), "u": ("d", "d"), "v": ("d", "d")}
+    cat = make_category(("d", "c"), mor, {"d": "id_d", "c": "id_c"}, table)
+    return CatPair(cat, frozenset({"d"}))
+
+
+def two_funnel_dropping_degree_one():
+    """X(d) = X(c) = S^0 (+) S^1 over F_5 on :func:`two_funnel`: every
+    structure map is the identity in degree 0 and zero in degree 1."""
+    pair = two_funnel()
+    s = make_complex(5, {0: 1, 1: 1})
+    return pair, make_diagram(pair.cat, {"d": s, "c": s}, {
+        m: make_map(s, s, {0: np.eye(1, dtype=np.int64)}) for m in "atuv"})
+
+
+def test_a_small_resolution_can_carry_a_coefficient_other_than_plus_minus_one():
+    res = cmod._resolve(two_funnel(), "c", 5, 3)
+    assert {a for level in res for _, image in level for _, _, a in image} == {1, 2, 4}
+
+
 @given(reference_cases(cutoffs=(0, 1, 2, 3)))  # low enough for plain Python lists
 @example((*z2_funnel_acyclic_tail(), 3, "ind-base"))
 @example((*staggered_square(), None, "bar"))
+@example((two_funnel(), constant_diagram(two_funnel().cat, sphere(5, 0)), 3, "bar"))
+@example((*two_funnel_dropping_degree_one(), 3, "ind-base"))
 @settings(max_examples=60, deadline=None)
 def test_the_shared_builder_is_the_oracles_tensor(case):
     # both resolutions a verdict or a full build tensors with X, uncut and
@@ -590,6 +621,24 @@ def test_the_end_of_an_exact_resolution_is_checked():
     with mock.patch.object(cmod, "is_directed_pair", return_value=True):
         with pytest.raises(AssertionError, match="no resolution of length 0"):
             cmod._resolve(pair, "c", 2, 0)
+
+
+def test_the_shape_key_sorts_a_category_once():
+    # the category's part of the key, and directedness per D, are kept on
+    # the FinCat; an equal FinCat built afresh gets an equal key
+    pair = funnel_monoid(k=3)
+    pairs = [pair, CatPair(pair.cat, frozenset({"c"}))] * 2
+    copy = CatPair(fincat.FinCat(pair.cat.objects, pair.cat.mor, pair.cat.identity,
+                                 pair.cat.comp), pair.dset)
+    with mock.patch.object(cmod, "sorted", create=True, wraps=sorted) as sorts, \
+            mock.patch.object(cmod, "_is_directed", wraps=cmod._is_directed) as dfs:
+        keys = [cmod._shape_key(q) for q in pairs]
+        directed = [is_directed_pair(q) for q in pairs]
+        assert sorts.call_count == 3  # the morphisms, identities and composition table
+        assert cmod._shape_key(copy) == keys[0]
+        assert sorts.call_count == 6
+    assert keys[0] is not keys[1] and keys[0][0] is keys[1][0] and keys[:2] == keys[2:]
+    assert directed == [False, True] * 2 and dfs.call_count == 2
 
 
 def test_resolutions_are_kept_apart_by_composition_prime_and_length():

@@ -131,13 +131,31 @@ def panel_matrices(draw):
 @given(panel_matrices(), st.integers(1, 5))
 @settings(max_examples=150, deadline=None)
 def test_panel_rank_matches_oracle_at_every_height(mp, height):
+    # the panels' pivot columns, mapped back to columns of a, are those of
+    # the reduced form: a stronger check than the rank
     a, p = mp
-    want = oracles.rank_of(a.tolist(), p)
+    want = oracles.row_reduce(a.tolist(), p)[1]
     for small in ROUTES:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_modp, "SMALL", small)
-            assert _modp.rank(a, p) == want, small
-            assert _modp._panel_rank(a, p, height) == want, small
+            assert _modp.rank(a, p) == len(want), small
+            assert _modp._panel_pivots(a, p, height) == want, small
+
+
+@given(matrices(max_dim=8) | panel_matrices(), st.integers(0, 2 ** 16))
+@settings(max_examples=150, deadline=None)
+def test_pivot_columns_count_the_rank_of_a_column_prefix(mp, salt):
+    # the pivots below k are as many as the rank of the first k columns,
+    # which is how the homology scan reads rank d^B off the cone
+    a, p = mp
+    k = salt % (a.shape[1] + 1)
+    want = oracles.row_reduce(a.tolist(), p)[1]
+    for small in ROUTES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_modp, "SMALL", small)
+            pivots = _modp._pivot_columns(a, p)
+        assert pivots == want, small
+        assert sum(q < k for q in pivots) == oracles.rank_of(a[:, :k].tolist(), p)
 
 
 @given(panel_matrices())
