@@ -41,7 +41,7 @@ from .diagrams import (
     Diagram, NatTrans, NotNatural, InvalidWitness,
     make_diagram, make_nat, identity_nat, compose_nat,
     restrict_along, restrict_nat_along, restrict_to_subset,
-    left_kan, right_kan, kan,
+    left_kan, right_kan,
     adjoint_transpose, glossy_formula_check, apply_value_functor,
     solve_lifting, solve_nat_lifting_zero,
 )

@@ -388,6 +388,32 @@ def first_homology_failure(f: ChainMap, through: int | None = None):
 # Sums and tensors
 # ---------------------------------------------------------------------------
 
+def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
+    """The matrix with ``blocks`` down its diagonal, in order."""
+    m = _modp.zeros(sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
+    r = c = 0
+    for b in blocks:
+        m[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return m
+
+
+def _sum_offsets(at, order) -> dict[int, tuple[dict, int]]:
+    """Per degree carrying a cell of some at[a], ascending: where the cells
+    of each at[a] start in (+)_{a in order} at[a], and how many cells the
+    sum has.  ``at`` is a dict or a list (with ``order`` its indices)."""
+    offs = {}
+    for n in sorted(set().union(*(at[a].dims for a in order))):
+        off = {}
+        total = 0
+        for a in order:
+            off[a] = total
+            total += at[a].dim(n)
+        offs[n] = off, total
+    return offs
+
+
 def direct_sum(summands: list[ChainComplex]):
     """Direct sum with injections and projections.
 
@@ -400,57 +426,35 @@ def direct_sum(summands: list[ChainComplex]):
     for s in summands:
         if s.prime != p:
             raise PrimeMismatch("mixed primes in direct sum")
-    dims: dict[int, int] = {}
-    for s in summands:
-        for n, k in s.dims.items():
-            dims[n] = dims.get(n, 0) + k
+    offs = _sum_offsets(summands, range(len(summands)))
     diff = {}
-    for n in dims:
-        blocks = [s.d(n) for s in summands]
-        rows = sum(b.shape[0] for b in blocks)
-        cols = sum(b.shape[1] for b in blocks)
-        if rows and cols:
-            m = _modp.zeros(rows, cols)
-            r = c = 0
-            for b in blocks:
-                m[r : r + b.shape[0], c : c + b.shape[1]] = b
-                r += b.shape[0]
-                c += b.shape[1]
+    for n in offs:
+        m = _block_diagonal([s.d(n) for s in summands])
+        if m.size:
             diff[n] = m
-    total = make_complex(p, dims, diff)
+    total = make_complex(p, {n: k for n, (_, k) in offs.items()}, diff)
     injections = []
     projections = []
-    offset_at = {n: 0 for n in dims}
-    for s in summands:
+    for i, s in enumerate(summands):
         inj = {}
         proj = {}
         for n in s.dims:
             e = _modp.zeros(total.dim(n), s.dim(n))
-            start = offset_at.get(n, 0)
+            start = offs[n][0][i]
             e[start : start + s.dim(n), :] = _modp.eye(s.dim(n))
             inj[n] = e
             proj[n] = e.T.copy()
         injections.append(ChainMap(s, total, inj))
         projections.append(ChainMap(total, s, proj))
-        for n in s.dims:
-            offset_at[n] = offset_at.get(n, 0) + s.dim(n)
     return total, injections, projections
 
 
 def direct_sum_maps(maps: list[ChainMap], source: ChainComplex, target: ChainComplex) -> ChainMap:
     """Block-diagonal sum of maps, against prebuilt sum complexes."""
     comps = {}
-    p = source.prime
     for n in set(source.dims) | set(target.dims):
-        blocks = [f.component(n) for f in maps]
-        rows, cols = target.dim(n), source.dim(n)
-        m = _modp.zeros(rows, cols)
-        r = c = 0
-        for b in blocks:
-            m[r : r + b.shape[0], c : c + b.shape[1]] = b
-            r += b.shape[0]
-            c += b.shape[1]
-        if (r, c) != (rows, cols):
+        m = _block_diagonal([f.component(n) for f in maps])
+        if m.shape != (target.dim(n), source.dim(n)):
             raise ShapeMismatch("block sizes do not fill the sum at degree %d" % n)
         if m.any():
             comps[n] = m
@@ -611,22 +615,6 @@ class Limit:
         return ChainMap(source, self.complex, comps)
 
 
-def _cell_degrees(values) -> list[int]:
-    """The degrees carrying a cell of some value, ascending."""
-    return sorted(set().union(*(v.dims for v in values)))
-
-
-def _summed_differential(at: dict, order: list, offs: dict, n: int) -> np.ndarray:
-    """d_n of (+)_a at[a]: block diagonal, blocks placed at ``offs``."""
-    dplus = _modp.zeros(sum(at[a].dim(n - 1) for a in order),
-                        sum(at[a].dim(n) for a in order))
-    for a in order:
-        da = at[a].d(n)
-        ro, co = offs[n - 1][a], offs[n][a]
-        dplus[ro : ro + da.shape[0], co : co + da.shape[1]] = da
-    return dplus
-
-
 def finite_colimit(shape, at: dict, on: dict) -> Colimit:
     order = list(shape.objects)
     if not order:
@@ -634,19 +622,12 @@ def finite_colimit(shape, at: dict, on: dict) -> Colimit:
                             "build it directly")
     p = at[order[0]].prime
     mors = sorted(shape.non_identity_morphisms())
-    span = _cell_degrees(at.values())
+    offs = _sum_offsets(at, order)
 
     proj: dict[int, np.ndarray] = {}
     sect: dict[int, np.ndarray] = {}
-    offs: dict[int, dict] = {}
     dims: dict[int, int] = {}
-    for n in span:
-        off = {}
-        total = 0
-        for a in order:
-            off[a] = total
-            total += at[a].dim(n)
-        offs[n] = off
+    for n, (off, total) in offs.items():
         if total == 0:
             continue
         cols = []
@@ -669,7 +650,7 @@ def finite_colimit(shape, at: dict, on: dict) -> Colimit:
     for n in dims:
         if dims.get(n - 1, 0) == 0:
             continue
-        dplus = _summed_differential(at, order, offs, n)
+        dplus = _block_diagonal([at[a].d(n) for a in order])
         m = _modp.matmul(_modp.matmul(proj[n - 1], dplus, p), sect[n], p)
         if m.any():
             diff[n] = m
@@ -681,7 +662,7 @@ def finite_colimit(shape, at: dict, on: dict) -> Colimit:
         for n in sorted(at[a].dims):
             if n not in proj:
                 continue
-            off = offs[n][a]
+            off = offs[n][0][a]
             comps[n] = proj[n][:, off : off + at[a].dim(n)].copy()
         injections[a] = ChainMap(at[a], cx, comps)
     return Colimit(cx, injections, proj, sect, order)
@@ -694,18 +675,11 @@ def finite_limit(shape, at: dict, on: dict) -> Limit:
                             "build it directly")
     p = at[order[0]].prime
     mors = sorted(shape.non_identity_morphisms())
-    span = _cell_degrees(at.values())
+    offs = _sum_offsets(at, order)
 
     incl: dict[int, np.ndarray] = {}
-    offs: dict[int, dict] = {}
     dims: dict[int, int] = {}
-    for n in span:
-        off = {}
-        total = 0
-        for a in order:
-            off[a] = total
-            total += at[a].dim(n)
-        offs[n] = off
+    for n, (off, total) in offs.items():
         if total == 0:
             continue
         rows = []
@@ -728,7 +702,7 @@ def finite_limit(shape, at: dict, on: dict) -> Limit:
     for n in dims:
         if dims.get(n - 1, 0) == 0:
             continue
-        rhs = _modp.matmul(_summed_differential(at, order, offs, n), incl[n], p)
+        rhs = _modp.matmul(_block_diagonal([at[a].d(n) for a in order]), incl[n], p)
         m = _modp.solve(incl[n - 1], rhs, p)
         if m is None:
             raise NonCommutingSquare(n, "limit differential escapes the limit")
@@ -740,7 +714,7 @@ def finite_limit(shape, at: dict, on: dict) -> Limit:
     for a in order:
         comps = {}
         for n in dims:
-            off = offs[n][a]
+            off = offs[n][0][a]
             block = incl[n][off : off + at[a].dim(n), :].copy()
             if block.any():
                 comps[n] = block

@@ -466,15 +466,17 @@ def _effective(inst: Instance, args) -> tuple[str, int | None]:
     return strategy, cutoff
 
 
-def _check_prime_flag(inst: Instance, args, fname: str) -> None:
+def _instance(args) -> Instance:
+    """The instance file of a command, checked against ``--prime``."""
+    inst = parse_instance(args.instance)
     if args.prime is not None and args.prime != inst.prime:
-        raise DataError(fname, "$.prime", "instance is over p=%d, --prime says %d"
+        raise DataError(args.instance, "$.prime", "instance is over p=%d, --prime says %d"
                         % (inst.prime, args.prime))
+    return inst
 
 
 def _cmd_validate(args) -> int:
-    inst = parse_instance(args.instance)
-    _check_prime_flag(inst, args, args.instance)
+    inst = _instance(args)
     x = inst.diagram
     info = {
         "ok": True,
@@ -496,8 +498,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    inst = parse_instance(args.instance)
-    _check_prime_flag(inst, args, args.instance)
+    inst = _instance(args)
     focus = args.at or inst.focus
     if focus is None:
         raise DataError(args.instance, "$.focus",
@@ -522,8 +523,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_locus(args) -> int:
-    inst = parse_instance(args.instance)
-    _check_prime_flag(inst, args, args.instance)
+    inst = _instance(args)
     strategy, cutoff = _effective(inst, args)
     report = codescent_locus(inst.diagram, inst.pair, strategy, cutoff)
     report.reductions = inst.reductions
@@ -542,8 +542,7 @@ def _cmd_locus(args) -> int:
 
 
 def _cmd_kan(args) -> int:
-    inst = parse_instance(args.instance)
-    _check_prime_flag(inst, args, args.instance)
+    inst = _instance(args)
     orientation = "into" if args.direction == "res" else "out"
     phi = parse_functor_file(args.along, inst, orientation)
     x = inst.diagram
@@ -573,8 +572,7 @@ def _cmd_kan(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    inst = parse_instance(args.instance)
-    _check_prime_flag(inst, args, args.instance)
+    inst = _instance(args)
     focus = args.at or inst.focus
     if args.kind != "morphisms" and focus is None:
         raise DataError(args.instance, "$.focus",
@@ -605,8 +603,7 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_glossy(args) -> int:
-    inst = parse_instance(args.instance)
-    _check_prime_flag(inst, args, args.instance)
+    inst = _instance(args)
     phi = parse_functor_file(args.along, inst, "into")
     bset = args.at or list(phi.source.objects)
     for b in bset:
@@ -635,8 +632,7 @@ def _cmd_glossy(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    inst = parse_instance(args.instance)
-    _check_prime_flag(inst, args, args.instance)
+    inst = _instance(args)
     report = None
     if args.with_locus:
         strategy, cutoff = _effective(inst, args)
@@ -765,10 +761,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DataError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_DATA
-    except (CategoryError, ChainError, NotNatural) as exc:
+    except (DataError, CategoryError, ChainError, NotNatural) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
 

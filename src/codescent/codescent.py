@@ -731,7 +731,7 @@ def _collapse_contexts(pair: CatPair, max_contexts: int = 3):
     cat = pair.cat
     out = []
     for c in pair.complement:
-        if any(not cat.is_identity(m) for m in cat.endomorphisms(c)):
+        if any(not cat.is_identity(m) for m in cat.hom(c, c)):
             continue
         if any(cat.source(m) == c and cat.target(m) != c
                for m in cat.non_identity_morphisms()):

@@ -66,12 +66,6 @@ class Diagram:
             raise ShapeMismatch("empty diagram has no prime")
         return next(iter(self.at.values())).prime
 
-    def value(self, a: str) -> ChainComplex:
-        return self.at[a]
-
-    def map(self, m: str) -> ChainMap:
-        return self.on[m]
-
     def lo(self) -> int:
         degs = [cx.lo for cx in self.at.values() if cx.dims]
         return min(degs) if degs else 0
@@ -141,9 +135,6 @@ class NatTrans:
         self.source = source
         self.target = target
         self.comps = dict(comps)
-
-    def at(self, a: str) -> ChainMap:
-        return self.comps[a]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NatTrans):
@@ -299,10 +290,7 @@ def left_kan(phi: FunctorData, y: Diagram, prime: int | None = None) -> LeftKan:
         for o, (a, beta) in commas[c1].obj_data.items():
             beta2 = phi.target.compose(g, beta)
             o2 = "(%s|%s)" % (a, beta2)
-            if commas[c2].cat.objects:
-                legs[o] = colimits[c2].injections[o2]
-            else:
-                raise NotAFunctor("comma category collapsed unexpectedly at %r" % c2)
+            legs[o] = colimits[c2].injections[o2]  # (a, beta2) lies in the comma at c2
         on[g] = colimits[c1].induced(legs, at[c2])
     lk = Diagram(phi.target, at, on)
 
@@ -357,17 +345,6 @@ def right_kan(phi: FunctorData, y: Diagram, prime: int | None = None) -> RightKa
         counit_comps[a] = limits[fa].projections[o]
     counit = NatTrans(res_rk, y, counit_comps)
     return RightKan(rk, counit, commas, limits)
-
-
-def kan(direction: str, phi: FunctorData, x: Diagram):
-    """Uniform entry point: "ind" (left), "ext" (right) or "res"."""
-    if direction == "ind":
-        return left_kan(phi, x).diagram
-    if direction == "ext":
-        return right_kan(phi, x).diagram
-    if direction == "res":
-        return restrict_along(phi, x)
-    raise BadShapeParams("direction must be one of ind/ext/res")
 
 
 # ---------------------------------------------------------------------------

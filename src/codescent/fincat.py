@@ -100,14 +100,8 @@ class FinCat:
     def hom(self, a: str, b: str) -> list[str]:
         return list(self._hom.get((a, b), []))
 
-    def morphisms(self) -> list[str]:
-        return sorted(self.mor)
-
     def non_identity_morphisms(self) -> list[str]:
         return [m for m in sorted(self.mor) if m not in self._ident_names]
-
-    def endomorphisms(self, a: str) -> list[str]:
-        return self.hom(a, a)
 
     def compose(self, g: str, f: str) -> str:
         """g o f (f first).  Raises MissingComposite when undeclared."""
@@ -711,7 +705,7 @@ def _glossy_tests(phi: FunctorData, b: str, side: str):
     return tests
 
 
-def _glossy_cover(phi: FunctorData, b: str, side: str, cand: tuple[str, str], tests):
+def _glossy_cover(phi: FunctorData, side: str, cand: tuple[str, str], tests):
     """How often a candidate witness factors each test morphism."""
     amb = phi.target
     src = phi.source
@@ -803,7 +797,7 @@ def glossy(side: str, phi: FunctorData, bset, witnesses=None) -> GlossyResult:
                 continue
             total = [0] * len(tests)
             for c in cand:
-                for t, n in enumerate(_glossy_cover(phi, b, side, c, tests)):
+                for t, n in enumerate(_glossy_cover(phi, side, c, tests)):
                     total[t] += n
             misses = [tests[t] for t in range(len(tests)) if total[t] != 1]
             if misses:
@@ -811,7 +805,7 @@ def glossy(side: str, phi: FunctorData, bset, witnesses=None) -> GlossyResult:
             else:
                 found[b] = cand
         else:
-            covers = [_glossy_cover(phi, b, side, c, tests) for c in candidates]
+            covers = [_glossy_cover(phi, side, c, tests) for c in candidates]
             sol = _exact_cover(len(tests), covers)
             if sol is None:
                 failures[b] = "no witness set among %d candidates" % len(candidates)

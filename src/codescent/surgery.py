@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Diagram, restrict_to_subset
+from .diagrams import Diagram
 from .fincat import (
     CatPair, CategoryError, FinCat, UnknownObject, full_subcategory,
     funnel_objects, restrict_sources,
@@ -89,8 +89,8 @@ def reduce_funnel(x: Diagram, pair: CatPair, c: str) -> Reduction:
     """Full subcategory on the distinguished subset plus the focus."""
     _check_focus(x, pair, c)
     fd = funnel_objects(pair, c)
-    sub, _ = restrict_to_subset(x, fd.funnel_pair.cat.objects)
-    return Reduction("funnel", c, fd.funnel_pair, sub,
+    return Reduction("funnel", c, fd.funnel_pair,
+                     _restrict_diagram(x, fd.funnel_pair.cat),
                      note="%d objects retained" % len(fd.funnel_pair.cat.objects))
 
 
@@ -131,8 +131,7 @@ def cover_split(x: Diagram, pair: CatPair, members) -> list[Reduction]:
         raise NotACover("members miss objects: %s" % sorted(objs - covered))
     out = []
     for m in members:
-        sub, _ = restrict_to_subset(x, m)
-        out.append(Reduction("cover-split", None,
-                             CatPair(full_subcategory(pair.cat, m), pair.dset),
-                             sub, note="member %s" % (m,)))
+        sub = full_subcategory(pair.cat, m)
+        out.append(Reduction("cover-split", None, CatPair(sub, pair.dset),
+                             _restrict_diagram(x, sub), note="member %s" % (m,)))
     return out

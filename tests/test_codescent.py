@@ -38,6 +38,7 @@ from codescent import (
     make_map,
     oracle_criterion,
     sphere,
+    subset_predicate,
     verify_cofibrant_approx,
     zero_complex,
     zero_map,
@@ -525,6 +526,78 @@ def test_verdicts_are_the_bar_routes(case):
     assert (report.directed, report.cutoff, report.exact_through) \
         == (bounds.directed, bounds.cutoff, bounds.exact_through)
     assert {c: report.verdicts[c] for c in pair.complement} == want
+
+
+# ---------------------------------------------------------------------------
+# invariance laws: retract-equivalent subsets, renaming
+# ---------------------------------------------------------------------------
+
+def _consistent(v, w) -> bool:
+    """Two verdicts on one question agree wherever both are exact: a
+    failure in degree n is the other's failure, in degree n by the same
+    defect, unless the other is only a ``holds_up_to`` below n."""
+    for a, b in ((v, w), (w, v)):
+        if a.status == "fails" and not (
+                (b.degree, b.defect) == (a.degree, a.defect) if b.status == "fails"
+                else b.status == "holds_up_to" and b.bound < a.degree):
+            return False
+    return True
+
+
+@given(st.sampled_from([(RETRACT_PAIR, {"d2"}, "retract_equivalent"),
+                        (ISO_PAIR, {"d1"}, "essentially_equivalent")]),
+       st.sampled_from((2, 3)), st.integers(0, 2**32 - 1),
+       st.sampled_from(("bar", "ind-base")), st.sampled_from((None, 1, 3)))
+@settings(max_examples=60, deadline=None)
+def test_retract_equivalent_subsets_have_the_same_exact_failures(case, p, seed, strategy, cutoff):
+    """D and a D' equivalent to it up to retracts (or isomorphisms) have the
+    same weak equivalences, so they fail at c alike, in the same degree by
+    the same defect, as far as both verdicts reach (a cutoff can stop one
+    below the failure); and an object of D outside D' never fails for D'."""
+    pair, dset, kind = case
+    assert subset_predicate(pair.cat, kind, pair.dset, other=dset)
+    smaller = CatPair(pair.cat, frozenset(dset))
+    x = random_diagram(np.random.default_rng(seed), pair.cat, p, lo=-1, hi=1,
+                       max_dim=2, cells=2)
+    report = codescent_locus(x, smaller, strategy, cutoff)
+    assert _consistent(codescent_at(x, pair, "c", strategy, cutoff), report.verdicts["c"])
+    assert all(report.verdicts[a].status != "fails" for a in pair.dset - smaller.dset)
+
+
+def _renamed(pair, x):
+    """``pair`` and ``x`` with every object and morphism renamed (sorted
+    names in the reverse order) and the objects listed backwards; also the
+    new name of each object."""
+    cat = pair.cat
+    ob = {a: "o%02d" % i for i, a in enumerate(sorted(cat.objects, reverse=True))}
+    mo = {m: "m%02d" % i for i, m in enumerate(sorted(cat.mor, reverse=True))}
+    renamed = make_category([ob[a] for a in reversed(cat.objects)],
+                            {mo[m]: (ob[s], ob[t]) for m, (s, t) in cat.mor.items()},
+                            {ob[a]: mo[i] for a, i in cat.identity.items()},
+                            {(mo[g], mo[f]): mo[h] for (g, f), h in cat.comp.items()})
+    y = make_diagram(renamed, {ob[a]: cx for a, cx in x.at.items()},
+                     {mo[m]: f for m, f in x.on.items()})
+    return CatPair(renamed, frozenset(ob[a] for a in pair.dset)), y, ob
+
+
+RENAMING_SHAPES = [build_shape("arrow"), build_shape("multi_arrow", n=2),
+                   build_shape("commutative_square"), ISO_PAIR, RETRACT_PAIR,
+                   funnel_monoid(k=3), funnel_monoid(k=2, arrows=2),
+                   build_shape("terminal_extension", n=2)]
+
+
+@given(st.sampled_from(RENAMING_SHAPES), st.data(),
+       st.sampled_from(("bar", "ind-base")), st.sampled_from((None, 0, 2)))
+@settings(max_examples=60, deadline=None)
+def test_renaming_objects_and_morphisms_renames_the_report(pair, data, strategy, cutoff):
+    x = _case_diagram(data.draw, pair)
+    pair2, x2, ob = _renamed(pair, x)
+    assert not (set(ob.values()) | set(pair2.cat.mor)) & (set(ob) | set(pair.cat.mor))
+    report = codescent_locus(x, pair, strategy, cutoff)
+    report2 = codescent_locus(x2, pair2, strategy, cutoff)
+    assert (report2.directed, report2.cutoff, report2.exact_through) \
+        == (report.directed, report.cutoff, report.exact_through)
+    assert {a: report2.verdicts[ob[a]] for a in pair.cat.objects} == report.verdicts
 
 
 def staggered_square():

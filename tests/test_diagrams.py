@@ -21,7 +21,6 @@ from codescent import (
     identity_nat,
     inclusion_functor,
     is_quasi_iso,
-    kan,
     left_kan,
     make_diagram,
     make_map,
@@ -147,6 +146,13 @@ def test_left_kan_along_sub_terminal_inclusion(rng):
     assert lk.diagram.at["c"].dims == y.at["d"].dims
     assert is_quasi_iso(lk.diagram.on["alpha"])
     assert is_quasi_iso(lk.unit.comps["d"])
+    # along the same inclusion: restriction reads X at d, and nothing maps
+    # from c into d, so the right extension is zero at c
+    _, x = arrow_diagram()
+    yx = restrict_along(incl, x)
+    assert yx.at["d"] == x.at["d"]
+    assert left_kan(incl, yx).diagram.at["c"].dims == yx.at["d"].dims
+    assert right_kan(incl, yx).diagram.at["c"].dims == {}
 
 
 def test_left_kan_computes_coinvariants():
@@ -196,18 +202,6 @@ def test_right_kan_copies_backwards_and_zeroes_empty_commas():
     yd = make_diagram(dsub, {"d": two}, {"m1": swap})
     rk2 = right_kan(dincl, yd)
     assert rk2.diagram.at["c"].dims == {}
-
-
-def test_kan_dispatcher():
-    pair, x = arrow_diagram()
-    sub = full_subcategory(pair.cat, ["d"])
-    incl = inclusion_functor(sub, pair.cat)
-    y = restrict_along(incl, x)
-    assert kan("res", incl, x).at["d"] == x.at["d"]
-    assert kan("ind", incl, y).at["c"].dims == y.at["d"].dims
-    assert kan("ext", incl, y).at["c"].dims == {}  # empty comma from c
-    with pytest.raises(BadShapeParams):
-        kan("sideways", incl, y)
 
 
 def test_triangle_identities(rng):

@@ -3,6 +3,7 @@ imports.  ``__init__.py`` is exempt: it imports names to re-export them.
 An import kept for its side effects says so with ``# noqa: F401``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,3 +36,47 @@ def test_every_imported_name_is_read():
     unused = {str(path.relative_to(ROOT)): found for path in sorted(files)
               if path.name != "__init__.py" and (found := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def codescent_reads(source: str) -> list[tuple[str, str]]:
+    """``(module, name)`` for each name ``source`` takes from a ``codescent``
+    module: each name it imports from one, and each ``alias.name`` where
+    ``alias`` is bound to one."""
+    tree = ast.parse(source)
+    alias_of, reads = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.partition(".")[0] == "codescent":
+                    alias_of[a.asname or "codescent"] = a.name if a.asname else "codescent"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "codescent":
+            for a in node.names:
+                try:
+                    importlib.import_module("%s.%s" % (node.module, a.name))
+                    alias_of[a.asname or a.name] = "%s.%s" % (node.module, a.name)
+                except ModuleNotFoundError:
+                    reads.append((node.module, a.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in alias_of:
+            reads.append((alias_of[node.value.id], node.attr))
+    return reads
+
+
+def test_the_scan_finds_what_a_file_reads_from_codescent():
+    source = ("import codescent\nfrom codescent import selftest as st, sphere\n"
+              "from codescent.cli import main\nimport numpy as np\n"
+              "codescent.codescent_at(st.make_diagram(), np.eye(1))\n")
+    assert sorted(codescent_reads(source)) == [
+        ("codescent", "codescent_at"), ("codescent", "sphere"),
+        ("codescent.cli", "main"), ("codescent.selftest", "make_diagram")]
+
+
+def test_every_name_the_benchmark_reads_exists():
+    """The benchmark scripts run on every checkout of the package, so a
+    name they read must not be deleted or renamed under them."""
+    reads = {(module, name) for path in sorted(ROOT.glob("perfbench/*.py"))
+             for module, name in codescent_reads(path.read_text())}
+    assert ("codescent.selftest", "_random_map_diagram") in reads
+    assert sorted((module, name) for module, name in reads
+                  if not hasattr(importlib.import_module(module), name)) == []
