@@ -5,12 +5,12 @@ category satisfies codescent relative to a distinguished object subset.
 Layers, bottom up:
 
 * :mod:`codescent.chaincx` - bounded complexes and chain maps over F_p,
-  homology, cones, finite (co)limits, exact lifting.
+  homology, cones, finite colimits, exact lifting.
 * :mod:`codescent.fincat` - finite presented categories, shape builders,
   comma categories, glossiness of functors.
 * :mod:`codescent.diagrams` - functors into chain complexes, natural
-  transformations, Kan extensions and their adjunction data, exact
-  lifting.
+  transformations, Kan extensions and their adjunction data (each right
+  one the dual of the left one on the opposite category), exact lifting.
 * :mod:`codescent.codescent` - the bar and induced-base resolutions and
   the verdict machinery.
 * :mod:`codescent.surgery` - verdict-preserving instance reductions.
@@ -25,7 +25,7 @@ from .chaincx import (
     make_map, identity_map, zero_map, compose, add_maps,
     homology_dims, induced_homology_map, mapping_cone,
     is_quasi_iso, first_homology_failure, direct_sum, direct_sum_maps,
-    tensor, tensor_maps, finite_colimit, finite_limit,
+    tensor, tensor_maps, finite_colimit,
     random_complex, random_chain_map,
 )
 from .fincat import (

@@ -542,23 +542,25 @@ def tensor_maps(f: ChainMap, g: ChainMap) -> ChainMap:
 
 
 # ---------------------------------------------------------------------------
-# Finite (co)limits of complex-valued functors on a finite shape
+# Finite colimits of complex-valued functors on a finite shape
 # ---------------------------------------------------------------------------
 #
 # ``shape`` is duck-typed: it must expose ``objects`` (ordered tuple of
 # names), ``non_identity_morphisms()`` and ``source``/``target`` lookups.
 # The colimit is computed degreewise as the cokernel of the usual
-# difference map (+)_{f: a -> b} V_a -> (+)_a V_a, the limit dually as a
-# kernel.  Both come with a presentation good enough to produce induced
-# maps, which is what the Kan extension layer builds on.
+# difference map (+)_{f: a -> b} V_a -> (+)_a V_a, with a presentation
+# good enough to produce induced maps, which is what the Kan extension
+# layer builds on.  Limits are not built separately: over a field the
+# limit of a diagram is the dual (:func:`_dual`) of the colimit of its
+# duals on the opposite shape, matrix for matrix, as the kernel of the
+# difference map is the transposed cokernel of its transpose.
 
 class Colimit:
-    __slots__ = ("complex", "injections", "_proj", "_sect", "_order")
+    __slots__ = ("complex", "injections", "_sect", "_order")
 
-    def __init__(self, complex, injections, proj, sect, order):
+    def __init__(self, complex, injections, sect, order):
         self.complex = complex
         self.injections = injections
-        self._proj = proj
         self._sect = sect
         self._order = order
 
@@ -581,38 +583,6 @@ class Colimit:
             if m.any():
                 comps[n] = m
         return ChainMap(self.complex, target, comps)
-
-
-class Limit:
-    __slots__ = ("complex", "projections", "_incl", "_order")
-
-    def __init__(self, complex, projections, incl, order):
-        self.complex = complex
-        self.projections = projections
-        self._incl = incl
-        self._order = order
-
-    def induced(self, legs: dict, source: ChainComplex) -> ChainMap:
-        """Unique map into the limit through a cone ``legs``."""
-        p = self.complex.prime
-        comps = {}
-        for n in set(self.complex.dims) | set(source.dims):
-            rows = []
-            for a in self._order:
-                block = legs[a].component(n)
-                if block.shape[1] != source.dim(n):
-                    raise ShapeMismatch("leg at %r has wrong source dim" % (a,))
-                rows.append(block)
-            stacked = np.vstack(rows) if rows else _modp.zeros(0, source.dim(n))
-            incl = self._incl.get(n)
-            if incl is None or stacked.size == 0:
-                continue
-            x = _modp.solve(incl, stacked, p)
-            if x is None:
-                raise ShapeMismatch("legs do not form a cone into the limit")
-            if x.any():
-                comps[n] = x
-        return ChainMap(source, self.complex, comps)
 
 
 def finite_colimit(shape, at: dict, on: dict) -> Colimit:
@@ -665,61 +635,20 @@ def finite_colimit(shape, at: dict, on: dict) -> Colimit:
             off = offs[n][0][a]
             comps[n] = proj[n][:, off : off + at[a].dim(n)].copy()
         injections[a] = ChainMap(at[a], cx, comps)
-    return Colimit(cx, injections, proj, sect, order)
+    return Colimit(cx, injections, sect, order)
 
 
-def finite_limit(shape, at: dict, on: dict) -> Limit:
-    order = list(shape.objects)
-    if not order:
-        raise ShapeMismatch("limit over the empty shape is the zero complex; "
-                            "build it directly")
-    p = at[order[0]].prime
-    mors = sorted(shape.non_identity_morphisms())
-    offs = _sum_offsets(at, order)
+def _dual(cx: ChainComplex) -> ChainComplex:
+    """The dual complex: (C_n)* in degree -n, with differential d^T and no
+    sign.  Degrees stay in increasing order."""
+    return ChainComplex(cx.prime, {-n: cx.dims[n] for n in sorted(cx.dims, reverse=True)},
+                        {1 - n: cx.diff[n].T.copy() for n in sorted(cx.diff, reverse=True)})
 
-    incl: dict[int, np.ndarray] = {}
-    dims: dict[int, int] = {}
-    for n, (off, total) in offs.items():
-        if total == 0:
-            continue
-        rows = []
-        for m in mors:
-            a, b = shape.source(m), shape.target(m)
-            kb = at[b].dim(n)
-            if kb == 0:
-                continue
-            row = _modp.zeros(kb, total)
-            row[:, off[a] : off[a] + at[a].dim(n)] = on[m].component(n)
-            row[:, off[b] : off[b] + kb] = np.mod(row[:, off[b] : off[b] + kb] - _modp.eye(kb), p)
-            rows.append(row)
-        delta = np.vstack(rows) if rows else _modp.zeros(0, total)
-        k = _modp.nullspace(delta, p) if rows else _modp.eye(total)
-        if k.shape[1]:
-            incl[n] = k
-            dims[n] = k.shape[1]
 
-    diff = {}
-    for n in dims:
-        if dims.get(n - 1, 0) == 0:
-            continue
-        rhs = _modp.matmul(_block_diagonal([at[a].d(n) for a in order]), incl[n], p)
-        m = _modp.solve(incl[n - 1], rhs, p)
-        if m is None:
-            raise NonCommutingSquare(n, "limit differential escapes the limit")
-        if m.any():
-            diff[n] = m
-    cx = ChainComplex(p, dims, diff)
-
-    projections = {}
-    for a in order:
-        comps = {}
-        for n in dims:
-            off = offs[n][0][a]
-            block = incl[n][off : off + at[a].dim(n), :].copy()
-            if block.any():
-                comps[n] = block
-        projections[a] = ChainMap(cx, at[a], comps)
-    return Limit(cx, projections, incl, order)
+def _dual_map(f: ChainMap, source: ChainComplex, target: ChainComplex) -> ChainMap:
+    """f^T : source -> target, where ``source`` and ``target`` are the
+    duals of f's target and source."""
+    return ChainMap(source, target, {-n: m.T.copy() for n, m in f.comps.items() if m.any()})
 
 
 # ---------------------------------------------------------------------------

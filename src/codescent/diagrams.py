@@ -3,10 +3,11 @@
 A diagram assigns a bounded complex to every object and a chain map to
 every morphism, functorially.  Restriction, left and right Kan extension
 along a functor, their unit/counit transformations and adjoint transposes
-are all computed through the exact finite (co)limits of
-:mod:`codescent.chaincx`; every construction here is deterministic, so
-repeating a construction yields identical matrices (several round-trip
-laws in the test suite rely on this).
+are all computed through the exact finite colimits of
+:mod:`codescent.chaincx`; each right-hand construction is the left-hand
+one along Phi^op with the values dualised.  Every construction here is
+deterministic, so repeating a construction yields identical matrices
+(several round-trip laws in the test suite rely on this).
 
 Input is checked once, where it enters: :func:`make_diagram` and
 :func:`make_nat` validate data from outside the package (the functor and
@@ -29,14 +30,15 @@ import numpy as np
 
 from . import _modp
 from .chaincx import (
-    ChainComplex, ChainMap, Colimit, Limit,
-    PrimeMismatch, ShapeMismatch, NonCommutingSquare,
-    compose, direct_sum, finite_colimit, finite_limit, identity_map,
+    ChainComplex, ChainMap, Colimit,
+    PrimeMismatch, ShapeMismatch, NonCommutingSquare, _dual, _dual_map,
+    compose, direct_sum, finite_colimit, identity_map,
     tensor, tensor_maps, zero_complex, zero_map,
 )
 from .fincat import (
     CommaCat, FinCat, FunctorData, NotAFunctor, UnknownObject,
-    BadShapeParams, comma, full_subcategory, inclusion_functor,
+    BadShapeParams, _comma_object, _opposite, _opposite_functor,
+    comma, full_subcategory, inclusion_functor,
 )
 
 
@@ -185,6 +187,20 @@ def compose_nat(eta2: NatTrans, eta1: NatTrans) -> NatTrans:
     return NatTrans(eta1.source, eta2.target, comps)
 
 
+def _dual_diagram(x: Diagram) -> Diagram:
+    """X* on the opposite category: X(a)* at a and X(m)^T along m."""
+    at = {a: _dual(cx) for a, cx in x.at.items()}
+    on = {m: _dual_map(f, at[x.cat.target(m)], at[x.cat.source(m)]) for m, f in x.on.items()}
+    return Diagram(_opposite(x.cat), at, on)
+
+
+def _dual_nat(eta: NatTrans) -> NatTrans:
+    """eta* : target* -> source*, componentwise transposed."""
+    source, target = _dual_diagram(eta.target), _dual_diagram(eta.source)
+    return NatTrans(source, target, {a: _dual_map(f, source.at[a], target.at[a])
+                                     for a, f in eta.comps.items()})
+
+
 # ---------------------------------------------------------------------------
 # Restriction
 # ---------------------------------------------------------------------------
@@ -233,8 +249,6 @@ class RightKan:
 
     diagram: Diagram
     counit: NatTrans
-    commas: dict[str, CommaCat]
-    limits: dict[str, Limit]
 
 
 def _comma_values(cm: CommaCat, y: Diagram):
@@ -253,16 +267,6 @@ def left_mate(lk: LeftKan, x: Diagram, eta: dict) -> dict[str, ChainMap]:
             for c in lk.diagram.cat.objects}
 
 
-def right_mate(rk: RightKan, x: Diagram, eta: dict) -> dict[str, ChainMap]:
-    """The components of the mate X -> extension(Y) of eta : restrict(X) -> Y
-    across (restriction, right extension), induced by the legs eta_a o X(beta)."""
-    def at(c):
-        legs = {o: compose(eta[a], x.on[beta]) for o, (a, beta) in rk.commas[c].obj_data.items()}
-        return rk.limits[c].induced(legs, x.at[c])
-    return {c: at(c) if c in rk.limits else zero_map(x.at[c], rk.diagram.at[c])
-            for c in rk.diagram.cat.objects}
-
-
 def left_kan(phi: FunctorData, y: Diagram, prime: int | None = None) -> LeftKan:
     """Objectwise colimits over the commas (a, beta : Phi(a) -> c), zero
     where a comma is empty.  Y on an empty category has no prime to give
@@ -274,7 +278,7 @@ def left_kan(phi: FunctorData, y: Diagram, prime: int | None = None) -> LeftKan:
     colimits: dict[str, Colimit] = {}
     at: dict[str, ChainComplex] = {}
     for c in phi.target.objects:
-        cm = commas[c] = comma(phi, c, "into")
+        cm = commas[c] = comma(phi, c)
         if cm.cat.objects:
             colimits[c] = finite_colimit(cm.cat, *_comma_values(cm, y))
             at[c] = colimits[c].complex
@@ -289,7 +293,7 @@ def left_kan(phi: FunctorData, y: Diagram, prime: int | None = None) -> LeftKan:
         legs = {}
         for o, (a, beta) in commas[c1].obj_data.items():
             beta2 = phi.target.compose(g, beta)
-            o2 = "(%s|%s)" % (a, beta2)
+            o2 = _comma_object(a, beta2)
             legs[o] = colimits[c2].injections[o2]  # (a, beta2) lies in the comma at c2
         on[g] = colimits[c1].induced(legs, at[c2])
     lk = Diagram(phi.target, at, on)
@@ -298,53 +302,23 @@ def left_kan(phi: FunctorData, y: Diagram, prime: int | None = None) -> LeftKan:
     res_lk = restrict_along(phi, lk)
     for a in phi.source.objects:
         fa = phi.on_obj(a)
-        o = "(%s|%s)" % (a, phi.target.identity[fa])
+        o = _comma_object(a, phi.target.identity[fa])
         unit_comps[a] = colimits[fa].injections[o]
     unit = NatTrans(y, res_lk, unit_comps)
     return LeftKan(lk, unit, commas, colimits)
 
 
 def right_kan(phi: FunctorData, y: Diagram, prime: int | None = None) -> RightKan:
-    """Objectwise limits over the commas (a, beta : c -> Phi(a)); ``prime``
-    as for :func:`left_kan`."""
-    if y.cat != phi.source:
-        raise NotAFunctor("diagram does not live on the functor's source")
-    p = prime if prime is not None and not y.at else y.prime
-    commas: dict[str, CommaCat] = {}
-    limits: dict[str, Limit] = {}
-    at: dict[str, ChainComplex] = {}
-    for c in phi.target.objects:
-        cm = comma(phi, c, "from")
-        commas[c] = cm
-        if cm.cat.objects:
-            cat_at, cat_on = _comma_values(cm, y)
-            lim = finite_limit(cm.cat, cat_at, cat_on)
-            limits[c] = lim
-            at[c] = lim.complex
-        else:
-            at[c] = zero_complex(p)
+    """Objectwise limits over the commas (a, beta : c -> Phi(a)), zero
+    where a comma is empty; ``prime`` as for :func:`left_kan`.
 
-    on: dict[str, ChainMap] = {}
-    for g, (c1, c2) in phi.target.mor.items():
-        if not commas[c2].cat.objects:
-            on[g] = zero_map(at[c1], at[c2])
-            continue
-        legs = {}
-        for o, (a, beta) in commas[c2].obj_data.items():
-            beta1 = phi.target.compose(beta, g)
-            o1 = "(%s|%s)" % (a, beta1)
-            legs[o] = limits[c1].projections[o1]
-        on[g] = limits[c2].induced(legs, at[c1])
-    rk = Diagram(phi.target, at, on)
-
-    counit_comps = {}
-    res_rk = restrict_along(phi, rk)
-    for a in phi.source.objects:
-        fa = phi.on_obj(a)
-        o = "(%s|%s)" % (a, phi.target.identity[fa])
-        counit_comps[a] = limits[fa].projections[o]
-    counit = NatTrans(res_rk, y, counit_comps)
-    return RightKan(rk, counit, commas, limits)
+    Over a field this is (Lan_{Phi^op} Y*)*, matrix for matrix: the kernel
+    of a limit's difference map is the transposed cokernel of its
+    transpose, both read off one row reduction, and the counit is the
+    dual of that unit.
+    """
+    lk = left_kan(_opposite_functor(phi), _dual_diagram(y), prime)
+    return RightKan(_dual_diagram(lk.diagram), _dual_nat(lk.unit))
 
 
 # ---------------------------------------------------------------------------
@@ -367,42 +341,30 @@ def adjoint_transpose(direction: str, phi: FunctorData, eta: NatTrans,
       * ``to="source"``: eta : X -> extension(Y) becomes restrict(X) -> Y,
         with ``against = Y``.
 
-    Both constructions are deterministic, so transposing twice returns a
+    The right transposes are the left ones along Phi^op, dualised.  Both
+    constructions are deterministic, so transposing twice returns a
     transformation equal (matrix by matrix) to the input.
     """
-    if direction == "left":
-        if to == "target":
-            x = against
-            y = eta.source
-            if eta.target != restrict_along(phi, x):
-                raise NotNatural("transformation does not land in the restriction")
-            lk = left_kan(phi, y, x.prime)
-            return make_nat(lk.diagram, x, left_mate(lk, x, eta.comps))
-        if to == "source":
-            y = against
-            x = eta.target
-            lk = left_kan(phi, y, x.prime)
-            if eta.source != lk.diagram:
-                raise NotNatural("transformation does not start at the extension")
-            res_eta = restrict_nat_along(phi, eta)
-            return compose_nat(res_eta, lk.unit)
-    if direction == "right":
-        if to == "target":
-            x = against
-            y = eta.target
-            if eta.source != restrict_along(phi, x):
-                raise NotNatural("transformation does not start at the restriction")
-            rk = right_kan(phi, y, x.prime)
-            return make_nat(x, rk.diagram, right_mate(rk, x, eta.comps))
-        if to == "source":
-            y = against
-            x = eta.source
-            rk = right_kan(phi, y, x.prime)
-            if eta.target != rk.diagram:
-                raise NotNatural("transformation does not land in the extension")
-            res_eta = restrict_nat_along(phi, eta)
-            return compose_nat(rk.counit, res_eta)
-    raise BadShapeParams("direction in {left, right}, to in {source, target}")
+    if direction not in ("left", "right") or to not in ("source", "target"):
+        raise BadShapeParams("direction in {left, right}, to in {source, target}")
+    right = direction == "right"
+    if right:
+        phi, eta, against = _opposite_functor(phi), _dual_nat(eta), _dual_diagram(against)
+    if to == "target":
+        x, y = against, eta.source
+        if eta.target != restrict_along(phi, x):
+            raise NotNatural("transformation does not %s the restriction"
+                             % ("start at" if right else "land in"))
+        lk = left_kan(phi, y, x.prime)
+        out = make_nat(lk.diagram, x, left_mate(lk, x, eta.comps))
+    else:
+        y, x = against, eta.target
+        lk = left_kan(phi, y, x.prime)
+        if eta.source != lk.diagram:
+            raise NotNatural("transformation does not %s the extension"
+                             % ("land in" if right else "start at"))
+        out = compose_nat(restrict_nat_along(phi, eta), lk.unit)
+    return _dual_nat(out) if right else out
 
 
 # ---------------------------------------------------------------------------
@@ -412,34 +374,41 @@ def adjoint_transpose(direction: str, phi: FunctorData, eta: NatTrans,
 def glossy_formula_check(side: str, phi: FunctorData, witnesses: dict, y: Diagram):
     """Check the witness decomposition of a restricted extension.
 
-    Left witnesses at b make the canonical map
-    restrict(right extension of Y)(b) -> (+)_i Y(b_i) invertible in every
-    degree (the witness comma objects are initial in their components);
-    right witnesses dually make (+)_j Y(b_j) -> restrict(left extension of
-    Y)(b) invertible.  Returns ``(ok, detail)`` per witnessed object.
+    Right witnesses at b make the canonical map (+)_j Y(b_j) ->
+    restrict(left extension of Y)(b) invertible in every degree; left
+    witnesses dually make restrict(right extension of Y)(b) ->
+    (+)_i Y(b_i) invertible (the witness comma objects are initial in
+    their components).  The left check is the right one along Phi^op on
+    Y*: its matrices are the transposes, and a matrix is invertible
+    exactly when its transpose is.  Returns ``(ok, detail)`` per
+    witnessed object.
     """
     p = y.prime
     if side not in ("left", "right"):
         raise BadShapeParams("side must be 'left' or 'right'")
-    # left: projections of the right extension, stacked as rows; right:
-    # injections of the left extension, stacked as columns
-    ext = right_kan(phi, y) if side == "left" else left_kan(phi, y)
+    for b, wit in witnesses.items():
+        for a in [b] + [bi for bi, _ in wit]:
+            if a not in phi.source.objects:
+                raise InvalidWitness("witness object %r is not in the functor's source" % (a,))
+    if side == "left":
+        return glossy_formula_check("right", _opposite_functor(phi), witnesses, _dual_diagram(y))
+    lk = left_kan(phi, y)
     detail = {}
     for b, wit in witnesses.items():
         fb = phi.on_obj(b)
-        value = ext.diagram.at[fb]
+        value = lk.diagram.at[fb]
         summands = [y.at[bi] for bi, _ in wit]
         total = direct_sum(summands)[0] if summands else zero_complex(p)
         ok = total.dims == value.dims
         for n in value.degrees() if ok else ():
-            legs = ext.limits[fb].projections if side == "left" else ext.colimits[fb].injections
+            legs = lk.colimits[fb].injections
             blocks = []
             for bi, beta in wit:
-                o = "(%s|%s)" % (bi, beta)
+                o = _comma_object(bi, beta)
                 if o not in legs:
                     raise InvalidWitness("witness (%s, %s) is not a comma object" % (bi, beta))
                 blocks.append(legs[o].component(n))
-            if not _modp.is_invertible((np.vstack if side == "left" else np.hstack)(blocks), p):
+            if not _modp.is_invertible(np.hstack(blocks), p):
                 ok = False
                 break
         detail[b] = ok

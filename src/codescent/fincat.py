@@ -8,10 +8,10 @@ desk-scale categories; there is no word-problem solving here).
 Input is checked once, where it enters: :func:`make_category` checks the
 axioms exhaustively and :func:`make_functor` the functor laws, for data
 from outside the package.  The package's own constructions (full
-subcategories, funnels, source restrictions, comma categories, the shape
-catalogue, inclusion functors) hold by construction and use the plain
-:class:`FinCat` and :class:`FunctorData` constructors; the test suite
-re-validates them.
+subcategories, opposites, funnels, source restrictions, comma categories,
+the shape catalogue, inclusion functors) hold by construction and use the
+plain :class:`FinCat` and :class:`FunctorData` constructors; the test
+suite re-validates them.
 
 A *pair* is a category together with a distinguished subset of objects.
 All the decision procedures downstream (codescent verdicts, surgery
@@ -66,7 +66,7 @@ class FinCat:
     id o m = m) missing from ``comp``; everything else is taken as given.
     Data from outside the package goes through :func:`make_category`.
     ``_facts`` keeps what callers derive once (sorted tables, directedness
-    per subset), which stays true as nothing edits an instance."""
+    per subset, the opposite), which stays true as nothing edits an instance."""
 
     __slots__ = ("objects", "mor", "identity", "comp", "_hom", "_ident_names", "_facts")
 
@@ -287,24 +287,40 @@ def inclusion_functor(sub: FinCat, amb: FinCat) -> FunctorData:
     return FunctorData(sub, amb, {a: a for a in sub.objects}, {m: m for m in sub.mor})
 
 
+def _opposite(cat: FinCat) -> FinCat:
+    """The opposite category, on the same names: m : a -> b becomes
+    m : b -> a and g o f becomes f o g.  Kept in both categories' facts,
+    so the opposite of the opposite is ``cat`` itself."""
+    op = cat._facts.get("op")
+    if op is None:
+        op = FinCat(cat.objects, {m: (t, s) for m, (s, t) in cat.mor.items()}, cat.identity,
+                    {(f, g): h for (g, f), h in cat.comp.items()})
+        cat._facts["op"], op._facts["op"] = op, cat
+    return op
+
+
+def _opposite_functor(phi: FunctorData) -> FunctorData:
+    """Phi^op : source^op -> target^op, on the same names."""
+    return FunctorData(_opposite(phi.source), _opposite(phi.target), phi.obj_map, phi.mor_map)
+
+
 # ---------------------------------------------------------------------------
 # Comma categories
 # ---------------------------------------------------------------------------
 
 class CommaCat:
-    """Comma category of a functor against a base object.
-
-    ``side="into"`` builds the category of pairs (a, beta : Phi(a) -> b);
-    ``side="from"`` the category of pairs (a, beta : b -> Phi(a)).  The
-    result carries the underlying :class:`FinCat` plus labels mapping its
-    objects and morphisms back to the inputs.
+    """Comma category of a functor against a base object: the pairs
+    (a, beta : Phi(a) -> b), named by :func:`_comma_object`.  The pairs
+    (a, beta : b -> Phi(a)) are the comma of Phi^op
+    (:func:`_opposite_functor`).  The result carries the underlying
+    :class:`FinCat` plus labels mapping its objects and morphisms back to
+    the inputs.
     """
 
-    __slots__ = ("cat", "side", "base", "obj_data", "mor_data", "phi")
+    __slots__ = ("cat", "base", "obj_data", "mor_data", "phi")
 
-    def __init__(self, cat, side, base, obj_data, mor_data, phi):
+    def __init__(self, cat, base, obj_data, mor_data, phi):
         self.cat = cat
-        self.side = side
         self.base = base
         self.obj_data = obj_data  # comma object name -> (a, beta)
         self.mor_data = mor_data  # comma morphism name -> alpha in the source
@@ -315,14 +331,17 @@ class CommaCat:
         return self.cat.objects
 
     def __repr__(self) -> str:
-        return "CommaCat(side=%r, base=%r, %d objects)" % (self.side, self.base, len(self.cat.objects))
+        return "CommaCat(base=%r, %d objects)" % (self.base, len(self.cat.objects))
 
 
-def comma(phi: FunctorData, b: str, side: str) -> CommaCat:
+def _comma_object(a: str, beta: str) -> str:
+    """The name of the comma object (a, beta)."""
+    return "(%s|%s)" % (a, beta)
+
+
+def comma(phi: FunctorData, b: str) -> CommaCat:
     if b not in set(phi.target.objects):
         raise UnknownObject("comma base %r is not in the target category" % b)
-    if side not in ("into", "from"):
-        raise BadShapeParams("side must be 'into' or 'from'")
     amb = phi.target
     src = phi.source
 
@@ -330,9 +349,8 @@ def comma(phi: FunctorData, b: str, side: str) -> CommaCat:
     names = []
     for a in src.objects:
         fa = phi.on_obj(a)
-        arrows = amb.hom(fa, b) if side == "into" else amb.hom(b, fa)
-        for beta in arrows:
-            name = "(%s|%s)" % (a, beta)
+        for beta in amb.hom(fa, b):
+            name = _comma_object(a, beta)
             obj_data[name] = (a, beta)
             names.append(name)
 
@@ -345,11 +363,7 @@ def comma(phi: FunctorData, b: str, side: str) -> CommaCat:
             a2, b2 = obj_data[o2]
             for alpha in src.hom(a1, a2):
                 fal = phi.on_mor(alpha)
-                if side == "into":
-                    ok = amb.compose(b2, fal) == b1
-                else:
-                    ok = amb.compose(fal, b1) == b2
-                if not ok:
+                if amb.compose(b2, fal) != b1:
                     continue
                 if o1 == o2 and src.is_identity(alpha):
                     mname = "id%s" % o1
@@ -369,7 +383,7 @@ def comma(phi: FunctorData, b: str, side: str) -> CommaCat:
                 continue
             alpha = src.compose(mor_data[g], mor_data[f])
             comp[(g, f)] = by_key[(o1, alpha, o3)]
-    return CommaCat(FinCat(names, mor, identity, comp), side, b, obj_data, mor_data, phi)
+    return CommaCat(FinCat(names, mor, identity, comp), b, obj_data, mor_data, phi)
 
 
 # ---------------------------------------------------------------------------

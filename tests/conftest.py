@@ -3,24 +3,26 @@
 The package checks data once, where it enters (``make_complex``,
 ``make_map``, ``make_diagram``, ``make_nat``, ``make_category``,
 ``make_functor``), and builds its own resolutions, Kan extensions,
-(co)limits, surgery restrictions, subcategories, comma categories, shapes,
-inclusion functors and lifting fillers with the plain constructors.  Here
-every such builder is wrapped once, at import, and its result goes back
-through the public validators, so every internal construction the suite
-makes stays checked:
+colimits, duals, surgery restrictions, subcategories, opposite categories
+and functors, comma categories, shapes, inclusion functors and lifting
+fillers with the plain constructors.  Here every such builder is wrapped
+once, at import, and its result goes back through the public validators,
+so every internal construction the suite makes stays checked:
 
 * every complex is valid and already in the normal form of
   ``make_complex`` (no zero-dimensional degree, no all-zero differential),
   the P (x)_D X a verdict scans included;
 * every structure map, unit, counit, comparison (a verdict's xi_c
-  included) and (co)limit leg is a chain map (``make_map``);
+  included) and colimit leg is a chain map (``make_map``);
 * every resolution of hom(-, c) on D a verdict reads, and every bar
   resolution a full build tensors with X, is one, checked by the row
   reduction of ``oracles.py``: onto hom(-, c), exact through its length,
   and injective at its end where it stopped early or must stop;
-* functor and naturality laws hold (``make_diagram``, ``make_nat``), and
-  colimit injections and limit projections are natural along every
-  morphism of the shape, the colimits of a left Kan extension included;
+* functor and naturality laws hold (``make_diagram``, ``make_nat``), the
+  dual diagrams and transformations that right Kan extensions and right
+  transposes are built from included, and colimit injections are natural
+  along every morphism of the shape, the colimits of a left Kan extension
+  included;
 * every category round-trips through ``make_category`` unchanged (the
   axioms hold and the composition table is complete, identity laws
   included), a source restriction leaves the subset left absorbant, and
@@ -62,7 +64,7 @@ def check_map(f):
     make_map(f.source, f.target, f.comps)
 
 
-def check_diagram(x):
+def check_diagram(x, *args, **kwargs):
     for cx in x.at.values():
         check_complex(cx)
     for f in x.on.values():
@@ -70,7 +72,7 @@ def check_diagram(x):
     make_diagram(x.cat, x.at, x.on)
 
 
-def check_nat(eta):
+def check_nat(eta, *args, **kwargs):
     for f in eta.comps.values():
         check_map(f)
     make_nat(eta.source, eta.target, eta.comps)
@@ -193,20 +195,6 @@ def _check_colimit(colim, shape, at, on):
             raise NonCommutingSquare(None, "colimit injections not natural along %r" % m)
 
 
-def _check_limit(lim, shape, at, on):
-    check_complex(lim.complex)
-    for f in lim.projections.values():
-        check_map(f)
-    for m in shape.non_identity_morphisms():
-        a, b = shape.source(m), shape.target(m)
-        if compose(on[m], lim.projections[a]) != lim.projections[b]:
-            raise NonCommutingSquare(None, "limit projections not natural along %r" % m)
-
-
-def _check_restriction(x, *args, **kwargs):
-    check_diagram(x)
-
-
 CHECKS = {
     "codescent.codescent": {"bar_approximation": _check_approximation,
                             "ind_base_approximation": _check_approximation,
@@ -215,12 +203,15 @@ CHECKS = {
                             "_bar_diagram": _check_bar_diagram},
     "codescent.diagrams": {"left_kan": _check_left_kan,
                            "right_kan": _check_right_kan,
+                           "_dual_diagram": check_diagram,
+                           "_dual_nat": check_nat,
                            "solve_lifting": _check_lifting,
                            "solve_nat_lifting_zero": _check_nat_lifting},
-    "codescent.chaincx": {"finite_colimit": _check_colimit,
-                          "finite_limit": _check_limit},
-    "codescent.surgery": {"_restrict_diagram": _check_restriction},
+    "codescent.chaincx": {"finite_colimit": _check_colimit},
+    "codescent.surgery": {"_restrict_diagram": check_diagram},
     "codescent.fincat": {"full_subcategory": check_category,
+                         "_opposite": check_category,
+                         "_opposite_functor": check_functor,
                          "strict_funnel_category": check_category,
                          "restrict_sources": _check_restricted_sources,
                          "comma": _check_comma,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codescent import (
     BadShapeParams,
@@ -13,6 +14,7 @@ from codescent import (
     apply_value_functor,
     build_shape,
     compose_nat,
+    coset_inclusion,
     disk,
     full_subcategory,
     funnel_monoid,
@@ -36,7 +38,11 @@ from codescent import (
     zero_complex,
     zero_map,
 )
-from codescent.selftest import constant_diagram, random_diagram, representable_cell
+from codescent.selftest import (
+    _INCLUSION_CASES, constant_diagram, random_diagram, representable_cell,
+)
+
+import oracles
 
 
 def arrow_diagram(p=2):
@@ -250,6 +256,95 @@ def test_adjoint_transpose_error_branches(rng):
         adjoint_transpose("down", incl, lk.unit, against=x, to="target")
 
 
+def test_right_adjoint_transpose_error_branches(rng):
+    # the right transposes are the left ones on the duals, but a wrong
+    # transformation is named in the right adjunction's terms
+    pair = build_shape("arrow")
+    sub = full_subcategory(pair.cat, ["c"])
+    incl = inclusion_functor(sub, pair.cat)
+    x = random_diagram(rng, pair.cat, 2, cells=1)
+    y = restrict_along(incl, x)
+    rk = right_kan(incl, y)
+    mismatched = make_diagram(pair.cat, {"d": sphere(2, 0), "c": disk(2, 5)},
+                              {"alpha": zero_map(sphere(2, 0), disk(2, 5))})
+    with pytest.raises(NotNatural, match="does not start at the restriction"):
+        adjoint_transpose("right", incl, rk.counit, against=mismatched, to="target")
+    with pytest.raises(NotNatural, match="does not land in the extension"):
+        adjoint_transpose("right", incl, identity_nat(x), against=y, to="source")
+    with pytest.raises(BadShapeParams):
+        adjoint_transpose("right", incl, rk.counit, against=x, to="middle")
+
+
+def _kan_functors():
+    for name, params, objs in _INCLUSION_CASES:
+        amb = build_shape(name, **params).cat
+        yield inclusion_functor(full_subcategory(amb, objs), amb)
+    yield stabilizer_inclusion(2, 2).phi
+    yield stabilizer_inclusion(4, 2).phi
+    yield coset_inclusion(4, 2).phi
+
+
+KAN_FUNCTORS = tuple(_kan_functors())
+
+
+@given(st.sampled_from(KAN_FUNCTORS), st.sampled_from((2, 3, 5)), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_right_kan_is_the_kernel_of_the_limit_difference_map(phi, p, seed):
+    # the limit at c over the pairs (a, beta : c -> Phi(a)), enumerated
+    # here, as the kernel K_n of its difference matrix, built in lists and
+    # reduced by the oracle; the counit reads K_n at (a, id), and the
+    # differential d satisfies (+) d_Y K_n = K_{n-1} d
+    y = random_diagram(np.random.default_rng(seed), phi.source, p, hi=1, max_dim=2, cells=1)
+    rk = right_kan(phi, y)
+    amb, src = phi.target, phi.source
+    for c in amb.objects:
+        pairs = [(a, beta) for a in src.objects for beta in amb.hom(c, phi.on_obj(a))]
+        dims, kernels, offsets = {}, {}, {}
+        for n in sorted(set().union(*(y.at[a].dims for a, _ in pairs))):
+            off, total = {}, 0
+            for a, beta in pairs:
+                off[a, beta] = total
+                total += y.at[a].dim(n)
+            rows = []
+            # alpha : a1 -> a2 with Phi(alpha) o beta1 = beta2 asks for
+            # Y(alpha) v(a1, beta1) = v(a2, beta2)
+            for a1, b1 in pairs:
+                for alpha in src.mor:
+                    a2 = src.target(alpha)
+                    if src.source(alpha) != a1:
+                        continue
+                    b2 = amb.compose(phi.on_mor(alpha), b1)
+                    ya = y.on[alpha].component(n).tolist()
+                    for i in range(y.at[a2].dim(n)):
+                        row = [0] * total
+                        for j in range(y.at[a1].dim(n)):
+                            row[off[a1, b1] + j] = ya[i][j]
+                        row[off[a2, b2] + i] = (row[off[a2, b2] + i] - 1) % p
+                        rows.append(row)
+            kernel = oracles.kernel_basis(rows, p, ncols=total)
+            if kernel:
+                dims[n], kernels[n], offsets[n] = len(kernel), kernel, off
+            for a in src.objects:
+                if phi.on_obj(a) == c:
+                    start = off[a, amb.identity[c]]
+                    want = [[v[start + i] for v in kernel] for i in range(y.at[a].dim(n))]
+                    got = rk.counit.comps[a].component(n)
+                    assert got.shape == (y.at[a].dim(n), len(kernel))
+                    assert got.tolist() == want, (a, n)
+        assert rk.diagram.at[c].dims == dims, c
+        for n, kernel in kernels.items():
+            below = kernels.get(n - 1, [])
+            d = rk.diagram.at[c].d(n).tolist()
+            for j, v in enumerate(kernel):
+                image = []
+                for a, beta in pairs:
+                    start = offsets[n][a, beta]
+                    image += [sum(r * v[start + i] for i, r in enumerate(row)) % p
+                              for row in y.at[a].d(n).tolist()]
+                assert image == [sum(w[r] * d[i][j] for i, w in enumerate(below)) % p
+                                 for r in range(len(image))], (c, n)
+
+
 # ---------------------------------------------------------------------------
 # glossy formulas
 # ---------------------------------------------------------------------------
@@ -271,6 +366,15 @@ def test_glossy_formula_rejects_non_comma_witness(rng):
                              {"d": [("d", "m1"), ("d", "a1")]}, y)
     with pytest.raises(BadShapeParams):
         glossy_formula_check("up", pm.phi, pm.witnesses, y)
+
+
+def test_glossy_formula_rejects_unknown_witness_objects(rng):
+    pm = stabilizer_inclusion(2, 2)
+    y = random_diagram(rng, pm.phi.source, 2, hi=1, max_dim=2, cells=1)
+    for side in ("left", "right"):
+        for witnesses in ({"zz": [("d", "m0")]}, {"d": [("zz", "m0")]}):
+            with pytest.raises(InvalidWitness, match="'zz'"):
+                glossy_formula_check(side, pm.phi, witnesses, y)
 
 
 def test_glossy_formula_detects_wrong_witness_count(rng):

@@ -213,7 +213,7 @@ def test_comma_of_funnel_is_translation_category():
     pair = funnel_monoid(k=2, arrows=2, action="cyclic")
     sub = full_subcategory(pair.cat, ["d"])
     phi = inclusion_functor(sub, pair.cat)
-    cm = comma(phi, "c", "into")
+    cm = comma(phi, "c")
     # objects: the two arrows d -> c; morphisms: one per (object, group elt)
     assert len(cm.cat.objects) == 2
     assert len(cm.cat.mor) == 4
@@ -227,9 +227,7 @@ def test_comma_error_branches():
     sub = full_subcategory(pair.cat, ["d"])
     phi = inclusion_functor(sub, pair.cat)
     with pytest.raises(UnknownObject):
-        comma(phi, "nope", "into")
-    with pytest.raises(BadShapeParams):
-        comma(phi, "c", "sideways")
+        comma(phi, "nope")
 
 
 def test_make_functor_error_branches():
