@@ -368,13 +368,7 @@ def inverse(a: np.ndarray, p: int):
     n, m = a.shape
     if n != m:
         return None
-    if n == 0:
-        return zeros(0, 0)
-    aug = np.hstack([np.mod(a, p), eye(n)])
-    red, pivots = rref(aug, p)
-    if pivots != list(range(n)):
-        return None
-    return red[:, n:].copy()
+    return solve(a, eye(n), p)
 
 
 def is_invertible(a: np.ndarray, p: int) -> bool:

@@ -512,30 +512,16 @@ def tensor(a: ChainComplex, b: ChainComplex) -> ChainComplex:
 
 
 def tensor_maps(f: ChainMap, g: ChainMap) -> ChainMap:
-    """f (x) g between prebuilt tensor complexes (degree-0 maps: no signs)."""
+    """f (x) g between prebuilt tensor complexes (degree-0 maps: no signs):
+    f_i (x) g_j down the diagonal, over the sorted (i, j) of both layouts."""
     src = tensor(f.source, g.source)
     tgt = tensor(f.target, g.target)
     p = f.prime
-    src_layout = _tensor_layout(f.source, g.source)
     tgt_layout = _tensor_layout(f.target, g.target)
     comps = {}
-    for n, blocks in src_layout.items():
-        rows, cols = tgt.dim(n), src.dim(n)
-        if rows == 0 or cols == 0:
-            continue
-        tgt_off = {}
-        off = 0
-        for (i, j, k) in tgt_layout.get(n, []):
-            tgt_off[(i, j)] = off
-            off += k
-        m = _modp.zeros(rows, cols)
-        coff = 0
-        for (i, j, k) in blocks:
-            if (i, j) in tgt_off:
-                blk = _modp.kron(f.component(i), g.component(j), p)
-                ro = tgt_off[(i, j)]
-                m[ro : ro + blk.shape[0], coff : coff + k] = blk
-            coff += k
+    for n, blocks in _tensor_layout(f.source, g.source).items():
+        pairs = sorted({(i, j) for (i, j, _) in blocks + tgt_layout.get(n, [])})
+        m = _block_diagonal([_modp.kron(f.component(i), g.component(j), p) for (i, j) in pairs])
         if m.any():
             comps[n] = m
     return ChainMap(src, tgt, comps)

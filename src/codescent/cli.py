@@ -551,12 +551,9 @@ def _cmd_kan(args) -> int:
         dset = frozenset(b for b in phi.source.objects
                          if phi.on_obj(b) in inst.pair.dset)
         other = phi.source
-    elif args.direction == "ind":
-        out = left_kan(phi, x, inst.prime).diagram
-        dset = frozenset(phi.on_obj(d) for d in inst.pair.d_objects)
-        other = phi.target
     else:
-        out = right_kan(phi, x, inst.prime).diagram
+        kan = left_kan if args.direction == "ind" else right_kan
+        out = kan(phi, x, inst.prime).diagram
         dset = frozenset(phi.on_obj(d) for d in inst.pair.d_objects)
         other = phi.target
     result = Instance(inst.prime, CatPair(other, dset), out)

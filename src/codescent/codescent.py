@@ -722,12 +722,12 @@ def oracle_criterion(x: Diagram, example: str) -> CodescentVerdict:
 # Diagnostics for a claimed resolution
 # ---------------------------------------------------------------------------
 
-def _collapse_contexts(pair: CatPair, max_contexts: int = 3):
-    """Objects c outside the subset where some lam0 : d0 -> c induces a
-    bijection between morphisms into d0 and non-identity morphisms into c
-    (and nothing leaves c).  At such a context the diagram that replaces
-    the value at c by the value at d0 is functorial and maps onto the
-    original by a trivial fibration over the subset."""
+def _collapse_contexts(pair: CatPair):
+    """The first three objects c outside the subset where some lam0 : d0 -> c
+    induces a bijection between morphisms into d0 and non-identity
+    morphisms into c (and nothing leaves c).  At such a context the diagram
+    that replaces the value at c by the value at d0 is functorial and maps
+    onto the original by a trivial fibration over the subset."""
     cat = pair.cat
     out = []
     for c in pair.complement:
@@ -756,18 +756,17 @@ def _collapse_contexts(pair: CatPair, max_contexts: int = 3):
                 break
         if found:
             out.append(found)
-        if len(out) >= max_contexts:
+        if len(out) == 3:
             break
     return out
 
 
-def verify_cofibrant_approx(x: Diagram, approx: Approximation,
-                            max_lift_checks: int = 3) -> dict:
+def verify_cofibrant_approx(x: Diagram, approx: Approximation) -> dict:
     """Diagnostics for a resolution: comparison on the subset, liftings.
 
     Checks (1) that the comparison map is a quasi-isomorphism at every
     distinguished object (within the certified range when truncated), and
-    (2) where the category offers a collapse context (see
+    (2) at each of the first three collapse contexts of the category (see
     :func:`_collapse_contexts`), that the resolution lifts against the
     collapse trivial fibration - the classical discriminating test that
     rejects non-resolvent diagrams posing as resolutions.
@@ -780,7 +779,7 @@ def verify_cofibrant_approx(x: Diagram, approx: Approximation,
     report = {"d_weq": all(per_object.values()), "per_object": per_object,
               "lifting_checks": []}
 
-    for (c, d0, lam0) in _collapse_contexts(pair, max_lift_checks):
+    for (c, d0, lam0) in _collapse_contexts(pair):
         at = {a: x.at[a] for a in x.cat.objects}
         at[c] = x.at[d0]
         on = {}

@@ -396,6 +396,9 @@ def glossy_formula_check(side: str, phi: FunctorData, witnesses: dict, y: Diagra
     detail = {}
     for b, wit in witnesses.items():
         fb = phi.on_obj(b)
+        for bi, beta in wit:
+            if _comma_object(bi, beta) not in lk.commas[fb].obj_data:
+                raise InvalidWitness("witness (%s, %s) is not a comma object" % (bi, beta))
         value = lk.diagram.at[fb]
         summands = [y.at[bi] for bi, _ in wit]
         total = direct_sum(summands)[0] if summands else zero_complex(p)
@@ -404,10 +407,7 @@ def glossy_formula_check(side: str, phi: FunctorData, witnesses: dict, y: Diagra
             legs = lk.colimits[fb].injections
             blocks = []
             for bi, beta in wit:
-                o = _comma_object(bi, beta)
-                if o not in legs:
-                    raise InvalidWitness("witness (%s, %s) is not a comma object" % (bi, beta))
-                blocks.append(legs[o].component(n))
+                blocks.append(legs[_comma_object(bi, beta)].component(n))
             if not _modp.is_invertible(np.hstack(blocks), p):
                 ok = False
                 break

@@ -16,6 +16,9 @@ suite re-validates them.
 A *pair* is a category together with a distinguished subset of objects.
 All the decision procedures downstream (codescent verdicts, surgery
 moves) are phrased in terms of pairs.
+
+Right glossiness of Phi is decided as left glossiness of Phi^op, with the
+same answer item for item (see :func:`glossy`).
 """
 
 from __future__ import annotations
@@ -405,24 +408,24 @@ def _cyclic_monoid(index: int, period: int):
     return size, norm
 
 
-def _funnel(monoid_size, norm, arrows, act, prefix_m="m", prefix_a="a"):
+def _funnel(monoid_size, norm, arrows, act):
     """Category d -> c: endomorphism monoid on d, right action on arrows."""
     objects = ("d", "c")
     mor = {"id_c": ("c", "c")}
-    identity = {"d": prefix_m + "0", "c": "id_c"}
+    identity = {"d": "m0", "c": "id_c"}
     for j in range(monoid_size):
-        mor["%s%d" % (prefix_m, j)] = ("d", "d")
+        mor["m%d" % j] = ("d", "d")
     for i in range(arrows):
-        mor["%s%d" % (prefix_a, i)] = ("d", "c")
+        mor["a%d" % i] = ("d", "c")
     comp = {}
     for j in range(monoid_size):
         for l in range(monoid_size):
             if j == 0 or l == 0:
                 continue
-            comp[("%s%d" % (prefix_m, j), "%s%d" % (prefix_m, l))] = "%s%d" % (prefix_m, norm(j + l))
+            comp[("m%d" % j, "m%d" % l)] = "m%d" % norm(j + l)
     for i in range(arrows):
         for j in range(1, monoid_size):
-            comp[("%s%d" % (prefix_a, i), "%s%d" % (prefix_m, j))] = "%s%d" % (prefix_a, act(i, j))
+            comp[("a%d" % i, "m%d" % j)] = "a%d" % act(i, j)
     return FinCat(objects, mor, identity, comp)
 
 
@@ -700,40 +703,33 @@ def restrict_sources(pair: CatPair) -> FinCat:
 
 @dataclass
 class GlossyResult:
-    side: str
     holds: bool
     witnesses: dict[str, list[tuple[str, str]]] | None
     failures: dict[str, str] = field(default_factory=dict)
 
 
-def _glossy_tests(phi: FunctorData, b: str, side: str):
-    """All (a, alpha) the factorization must cover, for a fixed b."""
+def _glossy_tests(phi: FunctorData, b: str):
+    """All (a, alpha : Phi(b) -> Phi(a)) the factorization must cover."""
     amb = phi.target
     fb = phi.on_obj(b)
     tests = []
     for a in phi.source.objects:
-        fa = phi.on_obj(a)
-        arrows = amb.hom(fb, fa) if side == "left" else amb.hom(fa, fb)
-        for alpha in arrows:
+        for alpha in amb.hom(fb, phi.on_obj(a)):
             tests.append((a, alpha))
     return tests
 
 
-def _glossy_cover(phi: FunctorData, side: str, cand: tuple[str, str], tests):
-    """How often a candidate witness factors each test morphism."""
+def _glossy_cover(phi: FunctorData, cand: tuple[str, str], tests):
+    """How often a candidate witness factors each test morphism as
+    alpha = Phi(gamma) o beta."""
     amb = phi.target
     src = phi.source
     bi, beta = cand
     counts = []
     for (a, alpha) in tests:
         n = 0
-        for gamma in src.hom(bi, a) if side == "left" else src.hom(a, bi):
-            fg = phi.on_mor(gamma)
-            if side == "left":
-                composite = amb.compose(fg, beta)   # alpha = Phi(gamma) o beta
-            else:
-                composite = amb.compose(beta, fg)   # alpha = beta o Phi(gamma)
-            if composite == alpha:
+        for gamma in src.hom(bi, a):
+            if amb.compose(phi.on_mor(gamma), beta) == alpha:
                 n += 1
         counts.append(n)
     return counts
@@ -782,26 +778,30 @@ def glossy(side: str, phi: FunctorData, bset, witnesses=None) -> GlossyResult:
     beta_i : Phi(b) -> Phi(b_i) (b_i in bset) through which every
     alpha : Phi(b) -> Phi(a) factors uniquely as Phi(gamma) o beta_i.
     ``side="right"`` is the dual with beta_j : Phi(b_j) -> Phi(b) and
-    factorizations beta_j o Phi(gamma).
+    factorizations beta_j o Phi(gamma): it is the left side of Phi^op, and
+    is decided as such.  The answer is the same item for item (tests,
+    candidates, covers, witnesses and messages), as :func:`_opposite`
+    keeps every name, ``hom`` lists names sorted on both categories, and
+    g o f in the opposite is f o g in the category.
 
     When ``witnesses`` is supplied (b -> list of (b_i, beta name)), it is
     verified exactly; otherwise an exhaustive search runs per object.
     """
     if side not in ("left", "right"):
         raise BadShapeParams("side must be 'left' or 'right'")
+    if side == "right":
+        return glossy("left", _opposite_functor(phi), bset, witnesses)
     bset = [b for b in phi.source.objects if b in set(bset)]
     amb = phi.target
     found: dict[str, list[tuple[str, str]]] = {}
     failures: dict[str, str] = {}
 
     for b in bset:
-        tests = _glossy_tests(phi, b, side)
+        tests = _glossy_tests(phi, b)
         fb = phi.on_obj(b)
         candidates = []
         for bi in bset:
-            fbi = phi.on_obj(bi)
-            arrows = amb.hom(fb, fbi) if side == "left" else amb.hom(fbi, fb)
-            for beta in arrows:
+            for beta in amb.hom(fb, phi.on_obj(bi)):
                 candidates.append((bi, beta))
         if witnesses is not None:
             cand = [(bi, beta) for (bi, beta) in witnesses.get(b, [])]
@@ -811,7 +811,7 @@ def glossy(side: str, phi: FunctorData, bset, witnesses=None) -> GlossyResult:
                 continue
             total = [0] * len(tests)
             for c in cand:
-                for t, n in enumerate(_glossy_cover(phi, side, c, tests)):
+                for t, n in enumerate(_glossy_cover(phi, c, tests)):
                     total[t] += n
             misses = [tests[t] for t in range(len(tests)) if total[t] != 1]
             if misses:
@@ -819,7 +819,7 @@ def glossy(side: str, phi: FunctorData, bset, witnesses=None) -> GlossyResult:
             else:
                 found[b] = cand
         else:
-            covers = [_glossy_cover(phi, side, c, tests) for c in candidates]
+            covers = [_glossy_cover(phi, c, tests) for c in candidates]
             sol = _exact_cover(len(tests), covers)
             if sol is None:
                 failures[b] = "no witness set among %d candidates" % len(candidates)
@@ -827,7 +827,7 @@ def glossy(side: str, phi: FunctorData, bset, witnesses=None) -> GlossyResult:
                 found[b] = [candidates[i] for i in sol]
 
     holds = not failures
-    return GlossyResult(side, holds, found if holds else None, failures)
+    return GlossyResult(holds, found if holds else None, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -836,13 +836,23 @@ def glossy(side: str, phi: FunctorData, bset, witnesses=None) -> GlossyResult:
 
 @dataclass(frozen=True)
 class PairMorphism:
-    """A functor between pairs together with optional glossy witnesses."""
+    """A functor between funnels together with its glossy witnesses."""
 
     phi: FunctorData
-    source_pair: CatPair
-    target_pair: CatPair
-    side: str
     witnesses: dict[str, list[tuple[str, str]]]
+
+
+def _subgroup_funnel(k: int, m: int, ambient: CatPair) -> PairMorphism:
+    """Inclusion into ``ambient`` of the funnel of the subgroup of index m
+    of Z/k, acting trivially on one arrow a0.  Witnesses at d: the coset
+    representatives t^0, ..., t^{m-1}."""
+    sub = funnel_monoid(k=k // m, arrows=1, action="trivial")
+    obj_map = {"d": "d", "c": "c"}
+    mor_map = {"id_c": "id_c", "a0": "a0"}
+    for j in range(k // m):
+        mor_map["m%d" % j] = "m%d" % ((j * m) % k)
+    phi = FunctorData(sub.cat, ambient.cat, obj_map, mor_map)
+    return PairMorphism(phi, {"d": [("d", "m%d" % l) for l in range(m)]})
 
 
 def stabilizer_inclusion(k: int, arrows: int) -> PairMorphism:
@@ -855,16 +865,7 @@ def stabilizer_inclusion(k: int, arrows: int) -> PairMorphism:
     """
     if k < 1 or arrows < 1 or k % arrows != 0:
         raise BadShapeParams("need arrows | k")
-    ambient = funnel_monoid(k=k, arrows=arrows, action="cyclic")
-    sub = funnel_monoid(k=k // arrows, arrows=1, action="trivial")
-    obj_map = {"d": "d", "c": "c"}
-    mor_map = {"id_c": "id_c", "a0": "a0"}
-    for j in range(k // arrows):
-        mor_map["m%d" % j] = "m%d" % ((j * arrows) % k)
-    phi = FunctorData(sub.cat, ambient.cat, obj_map, mor_map)
-    witnesses = {"d": [("d", "m%d" % l) for l in range(arrows)]}
-    return PairMorphism(phi, CatPair(sub.cat, frozenset({"d"})),
-                        CatPair(ambient.cat, frozenset({"d"})), "left", witnesses)
+    return _subgroup_funnel(k, arrows, funnel_monoid(k=k, arrows=arrows, action="cyclic"))
 
 
 def coset_inclusion(k: int, subgroup_index: int) -> PairMorphism:
@@ -876,14 +877,4 @@ def coset_inclusion(k: int, subgroup_index: int) -> PairMorphism:
     """
     if k < 1 or subgroup_index < 1 or k % subgroup_index != 0:
         raise BadShapeParams("need subgroup_index | k")
-    m = subgroup_index
-    ambient = funnel_monoid(k=k, arrows=1, action="trivial")
-    sub = funnel_monoid(k=k // m, arrows=1, action="trivial")
-    obj_map = {"d": "d", "c": "c"}
-    mor_map = {"id_c": "id_c", "a0": "a0"}
-    for j in range(k // m):
-        mor_map["m%d" % j] = "m%d" % ((j * m) % k)
-    phi = FunctorData(sub.cat, ambient.cat, obj_map, mor_map)
-    witnesses = {"d": [("d", "m%d" % l) for l in range(m)]}
-    return PairMorphism(phi, CatPair(sub.cat, frozenset({"d"})),
-                        CatPair(ambient.cat, frozenset({"d"})), "right", witnesses)
+    return _subgroup_funnel(k, subgroup_index, funnel_monoid(k=k, arrows=1, action="trivial"))

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _modp
 from .chaincx import (
-    ChainComplex, compose, direct_sum, direct_sum_maps, disk,
+    ChainComplex, add_maps, compose, direct_sum, direct_sum_maps, disk,
     first_homology_failure, identity_map, make_complex, make_map,
     random_chain_map, random_complex, sphere, zero_complex, zero_map,
 )
@@ -43,7 +43,7 @@ from .diagrams import (
     left_kan, make_diagram, right_kan,
 )
 from .codescent import (
-    codescent_at, codescent_locus, oracle_criterion,
+    _block_row_map, codescent_at, codescent_locus, oracle_criterion,
 )
 from .surgery import (
     cover_split, reduce_funnel, reduce_prune_morphisms, reduce_prune_objects,
@@ -159,8 +159,9 @@ def conjugate_diagram(rng, x: Diagram) -> Diagram:
 
 
 def random_diagram(rng, cat: FinCat, p: int, lo: int = 0, hi: int = 2,
-                   max_dim: int = 3, cells: int = 2,
-                   with_constant: bool = True) -> Diagram:
+                   max_dim: int = 3, cells: int = 2) -> Diagram:
+    """``cells`` representable cells at random objects plus one constant
+    diagram, conjugated by random bases."""
     parts = []
     objs = list(cat.objects)
     for _ in range(cells):
@@ -169,19 +170,18 @@ def random_diagram(rng, cat: FinCat, p: int, lo: int = 0, hi: int = 2,
         if not s.dims:
             s = sphere(p, lo, 1)
         parts.append(representable_cell(cat, d, s))
-    if with_constant:
-        s, _ = random_complex(rng, lo, hi, max_dim, p)
-        if not s.dims:
-            s = sphere(p, lo, 1)
-        parts.append(constant_diagram(cat, s))
+    s, _ = random_complex(rng, lo, hi, max_dim, p)
+    if not s.dims:
+        s = sphere(p, lo, 1)
+    parts.append(constant_diagram(cat, s))
     return conjugate_diagram(rng, sum_diagrams(parts))
 
 
-def _random_map_diagram(rng, pair: CatPair, p: int, lo=0, hi=4, max_dim=8):
-    """Independent complexes and maps; only valid on relation-free shapes
-    (arrow and multi-arrow)."""
+def _random_map_diagram(rng, pair: CatPair, p: int, hi=4, max_dim=8):
+    """Independent complexes in degrees 0 to ``hi`` and maps; only valid on
+    relation-free shapes (arrow and multi-arrow)."""
     cat = pair.cat
-    at = {a: random_complex(rng, lo, hi, max_dim, p)[0] for a in cat.objects}
+    at = {a: random_complex(rng, 0, hi, max_dim, p)[0] for a in cat.objects}
     on = {m: random_chain_map(rng, at[cat.source(m)], at[cat.target(m)])
           for m in cat.non_identity_morphisms()}
     return make_diagram(cat, at, on)
@@ -215,27 +215,12 @@ def square_diagram(rng, p: int, free: bool = False, plant: str | None = None):
         b1 = random_chain_map(rng, t1, xc)
         g = compose(b1, a1)
         rho = random_chain_map(rng, r2, xc)
-        comps = {}
-        for n in t2.degrees():
-            if xc.dim(n) == 0:
-                continue
-            m = np.mod(_modp.matmul(g.component(n), projs2[0].component(n), p)
-                       + _modp.matmul(rho.component(n), projs2[1].component(n), p), p)
-            if m.any():
-                comps[n] = m
-        b2 = make_map(t2, xc, comps)
+        b2 = add_maps(compose(g, projs2[0]), compose(rho, projs2[1]))
     else:
         # tip = first corner; second wing collapses its complement
         xc = t1
         b1 = identity_map(t1)
-        comps = {}
-        for n in t2.degrees():
-            if xc.dim(n) == 0:
-                continue
-            m = _modp.matmul(a1.component(n), projs2[0].component(n), p)
-            if m.any():
-                comps[n] = m
-        b2 = make_map(t2, xc, comps)
+        b2 = compose(a1, projs2[0])
     on = {"alpha1": a1, "alpha2": a2, "beta1": b1, "beta2": b2}
     if free:
         on["gamma1"] = compose(b1, a1)
@@ -347,15 +332,8 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CheckResult:
         # per-object closed forms: wings at the corners, fold at the tip
         w1 = first_homology_failure(x.on["alpha1"])
         w2 = first_homology_failure(x.on["alpha2"])
-        twice = direct_sum([x.at["e"], x.at["e"]])[0]
-        comps = {}
-        for n in twice.degrees():
-            if x.at["c"].dim(n) == 0:
-                continue
-            m = np.hstack([x.on["gamma1"].component(n), x.on["gamma2"].component(n)])
-            if m.any():
-                comps[n] = np.mod(m, p)
-        fold = make_map(twice, x.at["c"], comps)
+        fold = _block_row_map([x.at["e"], x.at["e"]],
+                              [x.on["gamma1"], x.on["gamma2"]], x.at["c"])
         for obj, fail in (("d1", w1), ("d2", w2),
                           ("c", first_homology_failure(fold))):
             got = rep.verdicts[obj]
@@ -481,29 +459,19 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CheckResult:
                         "criterion-5", False,
                         "case %d (%s on %s): unit not invertible at %s degree %d"
                         % (i, name, objs, a, n))
-        mate = adjoint_transpose("left", incl, lk.unit, against=lk.diagram,
-                                 to="target")
-        for a in amb.objects:
-            if mate.comps[a] != identity_map(lk.diagram.at[a]):
-                return CheckResult("criterion-5", False,
-                                   "case %d: mate of unit is not the identity at %s"
-                                   % (i, a))
-        back = adjoint_transpose("left", incl, mate, against=y, to="source")
-        if any(back.comps[a] != lk.unit.comps[a] for a in sub.objects):
-            return CheckResult("criterion-5", False,
-                               "case %d: left transpose does not round-trip" % i)
         rk = right_kan(incl, y)
-        mate2 = adjoint_transpose("right", incl, rk.counit,
-                                  against=rk.diagram, to="target")
-        for a in amb.objects:
-            if mate2.comps[a] != identity_map(rk.diagram.at[a]):
+        for side, ext, eta in (("left", lk.diagram, lk.unit),
+                               ("right", rk.diagram, rk.counit)):
+            mate = adjoint_transpose(side, incl, eta, against=ext, to="target")
+            for a in amb.objects:
+                if mate.comps[a] != identity_map(ext.at[a]):
+                    return CheckResult("criterion-5", False,
+                                       "case %d: %s mate is not the identity at %s"
+                                       % (i, side, a))
+            back = adjoint_transpose(side, incl, mate, against=y, to="source")
+            if any(back.comps[a] != eta.comps[a] for a in sub.objects):
                 return CheckResult("criterion-5", False,
-                                   "case %d: mate of counit is not the identity at %s"
-                                   % (i, a))
-        back2 = adjoint_transpose("right", incl, mate2, against=y, to="source")
-        if any(back2.comps[a] != rk.counit.comps[a] for a in sub.objects):
-            return CheckResult("criterion-5", False,
-                               "case %d: right transpose does not round-trip" % i)
+                                   "case %d: %s transpose does not round-trip" % (i, side))
     glossy_cases = []
     for (k, arrows) in ((2, 2), (4, 2), (6, 2), (6, 3)):
         glossy_cases.append(("left", stabilizer_inclusion(k, arrows)))

@@ -366,6 +366,15 @@ def test_glossy_formula_rejects_non_comma_witness(rng):
                              {"d": [("d", "m1"), ("d", "a1")]}, y)
     with pytest.raises(BadShapeParams):
         glossy_formula_check("up", pm.phi, pm.witnesses, y)
+    # a bad witness is rejected also when the count is off, before any
+    # dimension is compared
+    for pm in (stabilizer_inclusion(2, 2), coset_inclusion(4, 2)):
+        y = random_diagram(rng, pm.phi.source, 2, hi=1, max_dim=2, cells=1)
+        for witnesses in ({"d": [("d", "nonsense")]},
+                          {"d": pm.witnesses["d"] + [("d", "nonsense")]}):
+            for side in ("left", "right"):
+                with pytest.raises(InvalidWitness, match="nonsense"):
+                    glossy_formula_check(side, pm.phi, witnesses, y)
 
 
 def test_glossy_formula_rejects_unknown_witness_objects(rng):

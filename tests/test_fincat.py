@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from codescent import (
@@ -25,6 +27,7 @@ from codescent import (
     strict_funnel_category,
     subset_predicate,
 )
+from codescent.selftest import _INCLUSION_CASES
 
 
 def two_object_arrow():
@@ -345,6 +348,80 @@ def test_coset_inclusion_is_right_glossy():
         res = glossy("right", pm.phi, {"d"}, witnesses=pm.witnesses)
         assert res.holds, res.failures
         assert glossy("right", pm.phi, {"d", "c"}).holds
+
+
+def _right_factorizations(phi, bset, b):
+    """The tests alpha : Phi(a) -> Phi(b), the candidates (b_j, beta :
+    Phi(b_j) -> Phi(b)) with b_j in ``bset``, and how often each candidate
+    factors each test as alpha = beta o Phi(gamma).  Read off the ``mor``
+    and ``comp`` tables alone, not through ``hom`` or the opposite."""
+    src, amb, fb = phi.source, phi.target, phi.obj_map[b]
+    tests = [(a, alpha) for a in src.objects for alpha, ends in sorted(amb.mor.items())
+             if ends == (phi.obj_map[a], fb)]
+    cands = [(bj, beta) for bj in bset for beta, ends in sorted(amb.mor.items())
+             if ends == (phi.obj_map[bj], fb)]
+    counts = {}
+    for (bj, beta) in cands:
+        for (a, alpha) in tests:
+            counts[(bj, beta), (a, alpha)] = sum(
+                1 for gamma, ends in src.mor.items()
+                if ends == (a, bj) and amb.comp[(beta, phi.mor_map[gamma])] == alpha)
+    return tests, cands, counts
+
+
+def _right_glossy_cases():
+    for k in range(1, 9):
+        for m in range(1, k + 1):
+            if k % m == 0:
+                for build in (stabilizer_inclusion, coset_inclusion):
+                    pm = build(k, m)
+                    yield pm.phi, pm.witnesses
+    for name, params, objs in _INCLUSION_CASES:
+        amb = build_shape(name, **params).cat
+        yield inclusion_functor(full_subcategory(amb, objs), amb), {}
+
+
+def test_right_glossiness_matches_a_direct_count_of_factorizations():
+    checked = 0
+    for phi, shipped in _right_glossy_cases():
+        objs = phi.source.objects
+        for bset in itertools.chain.from_iterable(
+                itertools.combinations(objs, r) for r in range(len(objs) + 1)):
+            data = {b: _right_factorizations(phi, bset, b) for b in bset}
+
+            def valid(b, ws):
+                tests, cands, counts = data[b]
+                return all(w in cands for w in ws) and all(
+                    sum(counts[w, t] for w in ws) == 1 for t in tests)
+
+            # a witness set exists at b iff some subset of the candidates
+            # that factor no test twice covers every test exactly once
+            covers = {}
+            for b in bset:
+                tests, cands, counts = data[b]
+                usable = [c for c in cands if all(counts[c, t] <= 1 for t in tests)]
+                covers[b] = next((list(ws) for r in range(len(usable) + 1)
+                                  for ws in itertools.combinations(usable, r)
+                                  if valid(b, ws)), None)
+            res = glossy("right", phi, set(bset))
+            assert set(res.failures) == {b for b in bset if covers[b] is None}
+            assert res.holds == all(c is not None for c in covers.values())
+            if res.holds:
+                assert all(valid(b, ws) for b, ws in res.witnesses.items())
+            # the verification mode agrees with the count on good and bad sets
+            trials = [shipped, {b: c for b, c in covers.items() if c is not None}]
+            for b in bset:
+                cands = data[b][1]
+                good = covers[b] or cands
+                trials += [{b: good[:-1]}, {b: good + good[:1]}, {b: cands},
+                           {b: [(b, phi.target.identity[phi.obj_map[c]]) for c in objs]}]
+            for witnesses in trials:
+                res = glossy("right", phi, bset, witnesses=witnesses)
+                bad = {b for b in bset if not valid(b, witnesses.get(b, []))}
+                assert set(res.failures) == bad
+                assert res.holds == (not bad)
+                checked += 1
+    assert checked > 1000
 
 
 def test_trivial_subgroup_with_trivial_action_is_not_left_glossy():

@@ -1,9 +1,11 @@
 """Every module of the package and every test file reads each name it
 imports.  ``__init__.py`` is exempt: it imports names to re-export them.
-An import kept for its side effects says so with ``# noqa: F401``."""
+An import kept for its side effects says so with ``# noqa: F401``.  Some
+call sets each defaulted parameter of the package's functions."""
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +38,61 @@ def test_every_imported_name_is_read():
     unused = {str(path.relative_to(ROOT)): found for path in sorted(files)
               if path.name != "__init__.py" and (found := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def unset_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+    """``"file: function(param)"`` for each defaulted parameter of a
+    module-level function in ``package`` (file name -> source) that no call
+    by the function's name in ``callers`` passes, by position or by keyword.
+    A function that is also read as a value, not only called, is exempt:
+    its callers cannot be found by name."""
+    positional, keywords, values = {}, {}, set()
+    for tree in map(ast.parse, callers):
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                called.add(id(node.func))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                positional[name] = max(positional.get(name, 0),
+                                       math.inf if starred else len(node.args))
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in called:
+                values.add(getattr(node, "id", getattr(node, "attr", None)))
+    unset = []
+    for path, source in package.items():
+        for fn in ast.parse(source).body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name in values:
+                continue
+            args = fn.args.posonlyargs + fn.args.args
+            defaulted = list(enumerate(args))[len(args) - len(fn.args.defaults):]
+            defaulted += [(math.inf, a) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            passed = keywords.get(fn.name, set())
+            for i, arg in defaulted:
+                if positional.get(fn.name, 0) <= i and not {arg.arg, None} & passed:
+                    unset.append("%s: %s(%s)" % (path, fn.name, arg.arg))
+    return sorted(unset)
+
+
+def test_the_scan_finds_a_parameter_nobody_sets():
+    package = {"m.py": "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                       "def g(x=0):\n    pass\n"
+                       "def h(y=0):\n    pass\n"
+                       "TABLE = (g,)\n"}
+    callers = [package["m.py"], "f(0, 1, e=5)\nm.f(0)\nh(**{'y': 1})\n"]
+    assert unset_defaults(package, callers) == ["m.py: f(c)", "m.py: f(d)"]
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    package = {str(path.relative_to(ROOT)): path.read_text()
+               for path in sorted(ROOT.glob("src/codescent/*.py"))}
+    callers = [path.read_text()
+               for pattern in ("src/codescent/*.py", "tests/*.py", "perfbench/*.py")
+               for path in sorted(ROOT.glob(pattern))]
+    assert len(package) > 8 and len(callers) > 25
+    assert unset_defaults(package, callers) == []
 
 
 def codescent_reads(source: str) -> list[tuple[str, str]]:

@@ -354,7 +354,7 @@ def test_solve_detects_inconsistency():
     assert _modp.solve(a, b, 5) is None
 
 
-@given(st.sampled_from(PRIMES), st.integers(0, 5), st.integers(0, 9))
+@given(st.sampled_from(PANEL_PRIMES), st.integers(0, 5), st.integers(0, 9))
 @settings(max_examples=60, deadline=None)
 def test_inverse_of_random_invertible(p, n, salt):
     rng = np.random.default_rng(salt)
@@ -369,6 +369,9 @@ def test_inverse_of_singular_is_none():
     a = np.array([[1, 1], [1, 1]], dtype=np.int64)
     assert _modp.inverse(a, 2) is None
     assert not _modp.is_invertible(a, 2)
+    # a non-square matrix has no inverse, even with full row rank
+    assert _modp.inverse(np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64), 5) is None
+    assert _modp.inverse(_modp.zeros(0, 0), 5).shape == (0, 0)
 
 
 @given(matrices())
