@@ -41,6 +41,12 @@ sparse.  The ``rank`` calls of one pass of the ``campaign_small``
 benchmark, replayed at SMALL from 192 to 512, took the same time, 41-42
 ms (112 ms on the numpy route alone).
 
+The numpy route of :func:`rref` defers reduction mod p, as the same paper
+does: it reduces the pivot column and row when it reads them, so each
+update adds at most (p-1)^2 to the size of an entry, and the whole matrix
+at the end and after every 2^62 // (p-1)^2 updates (at least 512 at
+:data:`MAX_P`), so no entry leaves int64.
+
 Reductions mod p cost more per entry than the arithmetic, so large ones
 go through :func:`reduce`, ``x - (x // p) * p`` on int64: numpy divides an
 array by a scalar with a multiplication and shifts, where ``np.mod`` issues
@@ -163,41 +169,46 @@ def rref(a: np.ndarray, p: int):
     pivots are normalized to 1.  The entries are reduced once on entry by
     ``np.mod``, which makes a copy of ``a`` anyway.  A matrix of at most
     :data:`SMALL` entries is reduced on Python ints by :func:`_small_rref`.
-    Otherwise each pivot clears its column in one vectorised step over the
-    rows with a nonzero there, on the columns from the pivot on (the
-    columns before it are zero in the pivot row), and the updated block is
-    reduced by :func:`reduce`.  Both routes give the same matrix: the
-    reduced form of a row space is unique.
+    Otherwise each pivot clears its column in one vectorised step on the
+    columns from the pivot on (the columns before it are zero mod p in the
+    pivot row), over the whole block when most rows have a nonzero there,
+    with reduction mod p deferred as the module docstring says.  Both
+    routes give the same matrix: the reduced form of a row space is unique.
     """
     m = np.mod(np.asarray(a, dtype=np.int64), p)
     if m.size <= SMALL:
         rows, pivots = _small_rref(m.tolist(), p)
         return np.array(rows, dtype=np.int64).reshape(m.shape), pivots
     nrows, ncols = m.shape
+    steps = left = 2 ** 62 // (p - 1) ** 2
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
         if row == nrows:
             break
-        nz = m[row:, col].nonzero()[0]
+        factors = np.mod(m[:, col], p)
+        nz = factors[row:].nonzero()[0]
         if not nz.size:
             continue
         if nz[0]:
             m[[row, row + nz[0]]] = m[[row + nz[0], row]]
+            factors[row + nz[0]] = factors[row]
         pivot = m[row, col:]
+        np.mod(pivot, p, out=pivot)
         if pivot[0] != 1:
             pivot *= pow(int(pivot[0]), -1, p)
             pivot %= p
-        m[row, col] = 0  # leaves the pivot row out of the hits
-        hits = m[:, col].nonzero()[0]
-        m[row, col] = 1
+        factors[row] = 0  # leaves the pivot row out of the hits
+        hits = factors.nonzero()[0]
         if hits.size:
-            block = m[hits, col:]
-            block -= block[:, :1] * pivot
-            m[hits, col:] = reduce(block, p, out=block)
+            at = slice(None) if 2 * hits.size > nrows else hits
+            m[at, col:] -= np.multiply.outer(factors[at], pivot)
+            left -= 1
+            if not left:
+                m, left = reduce(m, p, out=m), steps
         pivots.append(col)
         row += 1
-    return m, pivots
+    return reduce(m, p, out=m), pivots
 
 
 def _small_rref(rows: list[list[int]], p: int):

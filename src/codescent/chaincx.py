@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -322,24 +323,13 @@ def induced_homology_map(f: ChainMap, n: int) -> np.ndarray:
     return coords[tb.shape[1]:, :].copy()
 
 
-def _cone_differential(f: ChainMap, n: int) -> np.ndarray:
-    """d_n of cone(f): the block matrix [[d^B_n, f_{n-1}], [0, -d^A_{n-1}]]
-    from B_n (+) A_{n-1} to B_{n-1} (+) A_{n-2}, for f : A -> B."""
-    src, tgt = f.source, f.target
-    rows, cols = tgt.dim(n - 1), tgt.dim(n)
-    m = _modp.zeros(rows + src.dim(n - 2), cols + src.dim(n - 1))
-    m[:rows, :cols] = tgt.d(n)
-    m[:rows, cols:] = f.component(n - 1)
-    m[rows:, cols:] = np.mod(-src.d(n - 1), f.prime)
-    return m
-
-
 def mapping_cone(f: ChainMap) -> ChainComplex:
     """cone(f)_n = target_n (+) source_{n-1}, d(y, x) = (dy + fx, -dx)."""
-    src, tgt = f.source, f.target
+    src, tgt, p = f.source, f.target, f.prime
     degs = set(tgt.dims) | {n + 1 for n in src.dims}
-    dims = {n: tgt.dim(n) + src.dim(n - 1) for n in degs}
-    return make_complex(f.prime, dims, {n: _cone_differential(f, n) for n in degs})
+    return make_complex(p, {n: tgt.dim(n) + src.dim(n - 1) for n in degs}, {n: np.block(
+        [[tgt.d(n), f.component(n - 1)],
+         [_modp.zeros(src.dim(n - 2), tgt.dim(n)), np.mod(-src.d(n - 1), p)]]) for n in degs})
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
@@ -351,36 +341,41 @@ def first_homology_failure(f: ChainMap, through: int | None = None):
     """Least degree where H_n(f) is not an isomorphism, with defect size.
 
     Returns ``(degree, dim ker + dim coker)`` of H_n(f), or None.  For
-    f : A -> B and C = cone(f), the long exact sequence gives both from
-    Betti numbers: scanning up from the bottom degree, the first failure
-    is the least n with b_n(C) > 0 or b_n(A) != b_n(B) (H_{n-1}(f) is then
-    injective, so b_n(C) = dim coker H_n(f)), with defect 2 b_n(C) +
-    b_n(A) - b_n(B).  Each rank of d^A, d^B and d^C is taken once, and
-    rank d^B_{n+1} is the number of pivot columns of d^C_{n+1} among its
-    first ones, those of [d^B_{n+1}; 0].  ``through`` only ends the scan
-    early (truncated verdicts pass ``exact_through``); the start stays at
-    the bottom, as the formula needs.  Only degrees carrying a cell of A, B
-    or C are visited: elsewhere all three Betti numbers vanish.
+    f : A -> B, the image of H_n(f) is f(Z_n(A)) + im d^B_{n+1} over im
+    d^B_{n+1}, so with the columns of K_n a basis of the cycles Z_n(A),
+    H_n(f) has rank r = rank [d^B_{n+1} | f_n K_n] - rank d^B_{n+1}, and
+    the defect is (b_n(A) - r) + (b_n(B) - r).  Scanning up, each d^A_{n+1}
+    is reduced once by :func:`_modp.rref`: that gives its rank, and its
+    reduced rows R with pivots P give f_n K_n = f_n[:, F] - f_n[:, P] R[:,
+    F] one degree up (F the free columns; K is :func:`_modp._kernel_rows`).
+    One :func:`_modp._pivot_columns` of [d^B_{n+1} | f_n K_n], B_n rows,
+    gives the other ranks: its pivots below B_{n+1} count rank d^B_{n+1}.
+    ``through`` only ends the scan early (truncated verdicts pass
+    ``exact_through``).  Only degrees carrying a cell of A or B are
+    visited: elsewhere H_n(f) is 0 -> 0.
     """
     src, tgt, p = f.source, f.target, f.prime
     degs = set(src.dims) | set(tgt.dims)
     if not degs:
         return None
     top = max(degs) if through is None else min(max(degs), through)
-    cells = degs | {n + 1 for n in src.dims}
-    below = (0, 0, 0)  # ranks of d_n on A, B, C; d_lo maps into zero spaces
-    for n in sorted(d for d in cells if d <= top):
-        if n - 1 not in cells:
-            below = (0, 0, 0)  # d_n maps into a zero space
-        cone = _modp._pivot_columns(_cone_differential(f, n + 1), p)
-        above = (_modp.rank(src.d(n + 1), p), bisect.bisect_left(cone, tgt.dim(n + 1)),
-                 len(cone))
-        a = src.dim(n) - below[0] - above[0]
-        b = tgt.dim(n) - below[1] - above[1]
-        c = tgt.dim(n) + src.dim(n - 1) - below[2] - above[2]
-        if c or a != b:
-            return (n, 2 * c + a - b)
-        below = above
+    for n in sorted(d for d in degs if d <= top):
+        if n - 1 not in degs:
+            red, piv, below = None, [], 0  # d_n maps into a zero space
+        d = src.diff.get(n + 1)
+        red_up, piv_up = _modp.rref(d, p) if d is not None else (None, [])
+        free = sorted(set(range(src.dim(n))) - set(piv))
+        fn = f.component(n)
+        fk = fn[:, free] if piv else fn
+        if piv and n in f.comps:
+            fk = _modp.reduce(fk - _modp.matmul(fn[:, piv], red[:len(piv), free], p), p)
+        pivots = _modp._pivot_columns(np.concatenate((tgt.d(n + 1), fk), axis=1), p)
+        above = bisect.bisect_left(pivots, tgt.dim(n + 1))
+        r = len(pivots) - above
+        a, b = len(free) - len(piv_up) - r, tgt.dim(n) - below - above - r
+        if a or b:
+            return (n, a + b)
+        red, piv, below = red_up, piv_up, above
     return None
 
 
@@ -464,11 +459,9 @@ def direct_sum_maps(maps: list[ChainMap], source: ChainComplex, target: ChainCom
 def _tensor_layout(a: ChainComplex, b: ChainComplex):
     """Per total degree: ordered blocks (i, j, dim a_i * dim b_j)."""
     layout: dict[int, list[tuple[int, int, int]]] = {}
-    for i in a.dims:
-        for j in b.dims:
+    for i in sorted(a.dims):
+        for j in sorted(b.dims):
             layout.setdefault(i + j, []).append((i, j, a.dim(i) * b.dim(j)))
-    for n in layout:
-        layout[n].sort()
     return layout
 
 
@@ -486,11 +479,8 @@ def tensor(a: ChainComplex, b: ChainComplex) -> ChainComplex:
         cols = dims[n]
         if rows == 0 or cols == 0:
             continue
-        tgt_off = {}
-        off = 0
-        for (i, j, k) in tgt_blocks:
-            tgt_off[(i, j)] = off
-            off += k
+        tgt_off = dict(zip([(i, j) for i, j, _ in tgt_blocks],
+                           itertools.accumulate([k for *_, k in tgt_blocks], initial=0)))
         m = _modp.zeros(rows, cols)
         coff = 0
         for (i, j, k) in blocks:
@@ -702,40 +692,26 @@ def random_chain_map(rng, source: ChainComplex, target: ChainComplex) -> ChainMa
     if target.prime != p:
         raise PrimeMismatch("random map between different primes")
     degs = sorted(set(source.dims) | set(target.dims))
-    if not degs:
-        return zero_map(source, target)
-    var_deg = [n for n in range(min(degs), max(degs) + 1)
-               if source.dim(n) * target.dim(n) > 0]
+    var_deg = [n for n in degs if source.dim(n) * target.dim(n) > 0]
     if not var_deg:
         return zero_map(source, target)
     sizes = {n: target.dim(n) * source.dim(n) for n in var_deg}
-    offset = {}
-    total = 0
-    for n in var_deg:
-        offset[n] = total
-        total += sizes[n]
+    offset = dict(zip(var_deg, itertools.accumulate(sizes.values(), initial=0)))
+    total = sum(sizes.values())
     rows = []
     for n in range(min(degs), max(degs) + 2):
         out_rows = target.dim(n - 1) * source.dim(n)
-        if out_rows == 0:
+        if out_rows == 0 or (n not in offset and n - 1 not in offset):
             continue
         block = _modp.zeros(out_rows, total)
-        hit = False
         if n in offset:
             block[:, offset[n] : offset[n] + sizes[n]] = _modp.kron(
                 target.d(n), _modp.eye(source.dim(n)), p)
-            hit = True
-        if (n - 1) in offset:
-            sub = _modp.kron(_modp.eye(target.dim(n - 1)), source.d(n).T, p)
+        if n - 1 in offset:
             block[:, offset[n - 1] : offset[n - 1] + sizes[n - 1]] = np.mod(
-                block[:, offset[n - 1] : offset[n - 1] + sizes[n - 1]] - sub, p)
-            hit = True
-        if hit:
-            rows.append(block)
-    if rows:
-        kernel = _modp.nullspace(np.vstack(rows), p)
-    else:
-        kernel = _modp.eye(total)
+                -_modp.kron(_modp.eye(target.dim(n - 1)), source.d(n).T, p), p)
+        rows.append(block)
+    kernel = _modp.nullspace(np.vstack(rows), p) if rows else _modp.eye(total)
     coeffs = np.asarray(rng.integers(0, p, size=(kernel.shape[1], 1)), dtype=np.int64)
     flat = _modp.matmul(kernel, coeffs, p).reshape(-1) if kernel.shape[1] else np.zeros(total, dtype=np.int64)
     comps = {}

@@ -55,7 +55,6 @@ from .diagrams import Diagram, NotNatural, make_diagram, restrict_along
 from .codescent import _verdicts, codescent_at, codescent_locus
 from .diagrams import left_kan, right_kan
 from .fincat import glossy as glossy_decide
-from . import selftest as selftest_mod
 from . import surgery
 
 EXIT_OK = 0
@@ -195,7 +194,7 @@ def _parse_complex(payload, p, fname, path) -> ChainComplex:
 
 
 def _parse_matrix(flat, rows, cols, p, fname, path):
-    """Row-major integer entries, of any size, reduced mod p."""
+    """Row-major integer entries; only those beyond int64 are reduced here."""
     flat = _as_list(flat, fname, path)
     if rows * cols != len(flat):
         raise DataError(fname, path, "expected %d entries (%dx%d), got %d"
@@ -206,8 +205,8 @@ def _parse_matrix(flat, rows, cols, p, fname, path):
     try:
         arr = np.array(flat, dtype=np.int64)
     except OverflowError:
-        arr = np.array(flat, dtype=object)
-    return np.mod(arr, p).astype(np.int64, copy=False).reshape(rows, cols)
+        arr = np.mod(np.array(flat, dtype=object), p).astype(np.int64)
+    return arr.reshape(rows, cols)
 
 
 def parse_instance(fname: str) -> Instance:
@@ -249,7 +248,7 @@ def parse_instance(fname: str) -> Instance:
             except ValueError:
                 raise DataError(fname, mp, "degree keys must be integers")
             mat = _parse_matrix(flat, at[tgt].dim(t), at[src].dim(t), p, fname, mp)
-            if mat.size and mat.any():
+            if mat.size:
                 comps[t] = mat
         try:
             on[m] = make_map(at[src], at[tgt], comps)
@@ -639,6 +638,7 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest as selftest_mod
     seed = args.seed if args.seed is not None else selftest_mod.DEFAULT_SEED
     results = selftest_mod.run_all(seed)
     if args.format == "json":

@@ -63,6 +63,7 @@ not an isomorphism and the defect dimension there.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -386,14 +387,25 @@ RESOLUTIONS_KEPT = 256
 _RESOLUTIONS: dict[tuple, tuple] = {}
 
 
+class _Shape(tuple):
+    """A category's tables, which are long, with their hash taken once."""
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    @functools.cached_property
+    def hash(self) -> int:
+        return tuple.__hash__(self)
+
+
 def _shape_key(pair: CatPair) -> tuple:
     """All of the pair a resolution reads (FinCat is unhashable): the
-    objects, morphisms, identities and composition table, sorted once per
-    :class:`FinCat` (nothing edits one after construction), and D."""
+    objects, morphisms, identities and composition table, sorted and hashed
+    once per :class:`FinCat` (nothing edits one after construction), and D."""
     cat = pair.cat
     if "shape" not in cat._facts:
-        cat._facts["shape"] = (cat.objects,) + tuple(
-            tuple(sorted(table.items())) for table in (cat.mor, cat.identity, cat.comp))
+        cat._facts["shape"] = _Shape((cat.objects,) + tuple(
+            tuple(sorted(table.items())) for table in (cat.mor, cat.identity, cat.comp)))
     return cat._facts["shape"], pair.d_objects
 
 
@@ -401,11 +413,11 @@ def _resolution(pair: CatPair, key: tuple, c: str, p: int, length: int) -> tuple
     """:func:`_resolve`, kept under (``key``, c, p, length): it reads
     nothing of X, and its values are tuples of names and ints."""
     k = (key, c, p, length)
-    if k not in _RESOLUTIONS:
+    if (res := _RESOLUTIONS.get(k)) is None:
         if len(_RESOLUTIONS) >= RESOLUTIONS_KEPT:
             del _RESOLUTIONS[next(iter(_RESOLUTIONS))]
-        _RESOLUTIONS[k] = _resolve(pair, c, p, length)
-    return _RESOLUTIONS[k]
+        res = _RESOLUTIONS[k] = _resolve(pair, c, p, length)
+    return res
 
 
 def _resolve(pair: CatPair, c: str, p: int, length: int) -> tuple:

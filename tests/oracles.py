@@ -386,6 +386,50 @@ def pushout_comparison_defect(e, d1, d2, c, f, g, u, v, p):
 
 
 # ---------------------------------------------------------------------------
+# Tensor products of chain maps
+# ---------------------------------------------------------------------------
+
+def kron(a, b, p):
+    """Kronecker product: entry (r1 * rows(b) + r2, c1 * cols(b) + c2) is
+    a[r1][c1] * b[r2][c2] mod p."""
+    return [[x * y % p for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def tensor_map(f, g, p):
+    """f (x) g for chain maps f, g, each given as (source dims, target dims,
+    components): per total degree n, the matrix whose rows and columns run
+    over the target's and the source's (i, j) with i + j = n and both
+    dimensions nonzero, in increasing (i, j), with f_i (x) g_j at the
+    blocks (i, j), (i, j) and zero elsewhere."""
+    (fs, ft, fc), (gs, gt, gc) = f, g
+
+    def layout(a, b):
+        out = {}
+        for i in sorted(a):
+            for j in sorted(b):
+                if a[i] and b[j]:
+                    out.setdefault(i + j, []).append((i, j, a[i] * b[j]))
+        return out
+
+    src, tgt = layout(fs, gs), layout(ft, gt)
+    out = {}
+    for n in set(src) | set(tgt):
+        rows, cols = tgt.get(n, []), src.get(n, [])
+        mtx = mat_zero(sum(k for *_, k in rows), sum(k for *_, k in cols))
+        r0 = 0
+        for i, j, kr in rows:
+            c0 = 0
+            for i2, j2, kc in cols:
+                if (i, j) == (i2, j2):
+                    for r, row in enumerate(kron(fc[i], gc[j], p)):
+                        mtx[r0 + r][c0:c0 + kc] = row
+                c0 += kc
+            r0 += kr
+        out[n] = mtx
+    return out
+
+
+# ---------------------------------------------------------------------------
 # A free resolution tensored with a diagram (independent route for P (x)_D X)
 # ---------------------------------------------------------------------------
 

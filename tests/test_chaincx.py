@@ -292,17 +292,22 @@ def test_the_scan_matches_the_oracle_on_the_panel_route(case):
         assert first_homology_failure(f) == want
 
 
-def test_the_scan_ranks_two_matrices_per_degree_and_never_d_B_alone(rng):
-    # d^A_{n+1} and the cone's d_{n+1} at each degree visited; rank d^B is
-    # read off the cone's pivot columns
+def test_the_scan_reduces_each_d_A_once_and_ranks_one_matrix_per_degree(rng):
+    # rref meets each d^A once (its reduced rows give the next cycles), and
+    # _pivot_columns one matrix [d^B_{n+1} | f_n K_n] of B_n rows per degree
+    # visited; no d^B is ranked alone
     a = random_complex(rng, 0, 3, 6, 3)[0]
     b, inj, _ = direct_sum([a, disk(3, 2, 2)])
     with mock.patch.object(_modp, "_pivot_columns", wraps=_modp._pivot_columns) as elim, \
+            mock.patch.object(_modp, "rref", wraps=_modp.rref) as rref, \
             mock.patch.object(_modp, "rank", wraps=_modp.rank) as rank:
         assert first_homology_failure(inj[0]) is None  # so every degree is visited
-    visited = (set(a.dims) | set(b.dims) | {n + 1 for n in a.dims}) & set(range(max(b.dims) + 1))
-    assert elim.call_count == 2 * len(visited)
-    assert not any(call.args[0] is m for call in rank.call_args_list for m in b.diff.values())
+    assert a.diff and all(sum(call.args[0] is m for call in rref.call_args_list) == 1
+                          for m in a.diff.values())
+    visited = sorted(set(a.dims) | set(b.dims))
+    assert [call.args[0].shape[0] for call in elim.call_args_list] == [b.dim(n) for n in visited]
+    calls = rref.call_args_list + elim.call_args_list + rank.call_args_list
+    assert not any(call.args[0] is m for call in calls for m in b.diff.values())
 
 
 def test_identity_is_quasi_iso_zero_to_acyclic_is_too():
@@ -371,6 +376,29 @@ def test_tensor_maps_respects_composition(rng):
     # quasi-iso is preserved by tensoring with identity over a field
     if is_quasi_iso(f):
         assert is_quasi_iso(fs)
+
+
+def _raw_map(f):
+    degs = set(f.source.dims) | set(f.target.dims)
+    return dict(f.source.dims), dict(f.target.dims), {n: f.component(n).tolist() for n in degs}
+
+
+def test_tensor_maps_matches_the_kronecker_oracle_across_layouts(rng):
+    # the targets carry (i, j) pairs that the sources lack, below and
+    # between theirs, so each block f_i (x) g_j sits where the target's
+    # layout puts it, not the source's
+    for p in (2, 3, 5):
+        for _ in range(4):
+            a = random_complex(rng, 1, 2, 4, p)[0]
+            b = random_complex(rng, 0, 1, 4, p)[0]
+            a2, ia, _ = direct_sum([random_complex(rng, 0, 2, 4, p)[0], a])
+            b2, ib, _ = direct_sum([random_complex(rng, -1, 1, 4, p)[0], b])
+            f = add_maps(ia[1], random_chain_map(rng, a, a2))
+            g = add_maps(ib[1], random_chain_map(rng, b, b2))
+            fg = tensor_maps(f, g)
+            want = oracles.tensor_map(_raw_map(f), _raw_map(g), p)
+            assert set(fg.comps) <= set(want)
+            assert {n: fg.component(n).tolist() for n in want} == want
 
 
 # ---------------------------------------------------------------------------

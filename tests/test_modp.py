@@ -77,6 +77,23 @@ def test_rref_is_idempotent_with_unit_pivots(mp):
             assert col[i] == 1 and np.count_nonzero(col) == 1
 
 
+def test_rref_reduces_the_whole_matrix_before_an_entry_can_overflow():
+    # Row i < k is e_i + (p-1) e_k and the last row has p-1 at every i < k,
+    # so each of the k pivots subtracts (p-1)^2, about 2^53 at this p, from
+    # its entry at column k.  After 1024 such updates an entry leaves int64
+    # unless the whole matrix is reduced between them (every 512 here).
+    p, k = 94906249, 1100
+    assert 2 ** 62 // (p - 1) ** 2 == 512
+    a = _modp.zeros(k + 1, k + 2)
+    a[range(k), range(k)] = 1
+    a[:k, k] = a[k, :k] = p - 1
+    a[k, k + 1] = 5
+    r, pivots = _modp.rref(a, p)
+    want, want_pivots = oracles.row_reduce(a.tolist(), p)
+    assert pivots == want_pivots == list(range(k + 1))
+    assert r.tolist() == want
+
+
 @given(matrices())
 @settings(max_examples=150, deadline=None)
 def test_rank_matches_independent_row_reduction(mp):
